@@ -67,6 +67,13 @@ from .ternary import (
     local_obstruction,
 )
 from .nsverify import CurveConfig, check_divisible_class, generators_report
-from .catalog import Catalog, load_catalog, repro_section4, repro_section5, repro_table1
+from .catalog import (
+    Catalog,
+    CatalogError,
+    load_catalog,
+    repro_section4,
+    repro_section5,
+    repro_table1,
+)
 
 __version__ = "0.1.0"

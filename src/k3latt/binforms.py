@@ -187,24 +187,38 @@ def equivalent(f1: EvenBinaryForm, f2: EvenBinaryForm) -> UnimodularTransform | 
 
 
 def genus_partition(d: int) -> list[list[EvenBinaryForm]]:
-    """Classes of discriminant d grouped by discriminant-form isomorphism."""
+    """Classes of discriminant d grouped by discriminant-form isomorphism.
+
+    Forms are bucketed by their discriminant form's genus_key; within a
+    bucket only the searched parts (the 2-part) still need a pairwise test.
+    Groups come in order of their first member, members in class order.
+    """
     forms = enumerate_reduced(d)
     disc = [FiniteQF.from_lattice(f.gram) for f in forms]
+    buckets: dict[tuple, list[list[int]]] = {}
     groups: list[list[int]] = []
-    for i in range(len(forms)):
-        for g in groups:
-            if disc[g[0]].is_isomorphic(disc[i]):
+    for i, f in enumerate(disc):
+        bucket = buckets.setdefault(f.genus_key(), [])
+        for g in bucket:
+            if disc[g[0]].is_isomorphic(f):
                 g.append(i)
                 break
         else:
-            groups.append([i])
+            bucket.append([i])
+            groups.append(bucket[-1])
     return [[forms[i] for i in g] for g in groups]
 
 
 def match_disc_form(d: int, target: FiniteQF) -> list[EvenBinaryForm]:
     """Reduced forms of discriminant d whose discriminant form matches target."""
-    return [f for f in enumerate_reduced(d)
-            if FiniteQF.from_lattice(f.gram).is_isomorphic(target)]
+    forms = enumerate_reduced(d)
+    key = target.genus_key()
+    out = []
+    for f in forms:
+        disc = FiniteQF.from_lattice(f.gram)
+        if disc.genus_key() == key and disc.is_isomorphic(target):
+            out.append(f)
+    return out
 
 
 @dataclass(frozen=True)

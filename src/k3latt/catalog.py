@@ -9,6 +9,7 @@ checks only (determinant vs d, evenness, reducedness).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.resources import files
 from typing import Optional
@@ -74,36 +75,56 @@ def _parse_form(data) -> FiniteQF:
     return FiniteQF.from_generators(data["orders"], data["q"], pairings)
 
 
+class CatalogError(ValueError):
+    """A catalog record lacks a required key."""
+
+
+@contextmanager
+def _record(where: str):
+    """Turn a KeyError inside one catalog record into a CatalogError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CatalogError(f"catalog {where}: missing key {exc.args[0]!r}") from None
+
+
 def load_catalog(path: Optional[str] = None) -> Catalog:
     if path is None:
         raw = json.loads(files("k3latt").joinpath("data/families.json").read_text())
     else:
         with open(path) as fh:
             raw = json.load(fh)
+    with _record("file"):
+        records = raw["families"]
     fams = []
-    for rec in raw["families"]:
+    for n, rec in enumerate(records):
+        with _record(f"family #{n + 1}"):
+            name, rows = rec["name"], rec["singular"]
         general = None
         if rec.get("general"):
             g = rec["general"]
-            general = GeneralCase(
-                gram=GramMatrix.from_rows(g["matrix"]),
-                d=int(g["d"]),
-                expected_form=_parse_form(g["expected_form"]) if "expected_form" in g else None,
-                derivation=g.get("derivation"),
-                note=g.get("note"),
-            )
-        cases = tuple(
-            SingularCase(
-                case=c["case"],
-                gram=GramMatrix.from_rows(c["matrix"]),
-                d=int(c["d"]),
-                ns_form=_parse_form(c["ns_form"]) if "ns_form" in c else None,
-                derivation=c.get("derivation"),
-                note=c.get("note"),
-            )
-            for c in rec["singular"])
-        fams.append(FamilyRecord(rec["name"], rec.get("display", rec["name"]),
-                                 general, cases, rec.get("extremal", False)))
+            with _record(f"family {name}, case general"):
+                general = GeneralCase(
+                    gram=GramMatrix.from_rows(g["matrix"]),
+                    d=int(g["d"]),
+                    expected_form=(_parse_form(g["expected_form"])
+                                   if "expected_form" in g else None),
+                    derivation=g.get("derivation"),
+                    note=g.get("note"),
+                )
+        cases = []
+        for k, c in enumerate(rows):
+            with _record(f"family {name}, case {c.get('case', f'#{k + 1}')}"):
+                cases.append(SingularCase(
+                    case=c["case"],
+                    gram=GramMatrix.from_rows(c["matrix"]),
+                    d=int(c["d"]),
+                    ns_form=_parse_form(c["ns_form"]) if "ns_form" in c else None,
+                    derivation=c.get("derivation"),
+                    note=c.get("note"),
+                ))
+        fams.append(FamilyRecord(name, rec.get("display", name),
+                                 general, tuple(cases), rec.get("extremal", False)))
     ids = tuple(raw.get("extremal_ids", {}).get("ids", ()))
     return Catalog(tuple(fams), ids)
 

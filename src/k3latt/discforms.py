@@ -2,16 +2,27 @@
 
 A form is presented by generators: a list of orders m_i, the values
 q(g_i) in Q/2Z, and the pairings b(g_i, g_j) in Q/Z.  The presentation is
-kept as given (cyclic_normalize is explicit, never implicit), and
-isomorphism testing is an exhaustive search over generator images, which
-is decisive for the group orders that occur here.
+kept as given (cyclic_normalize is explicit, never implicit).
+
+Isomorphism is decided prime by prime.  The p-primary parts of a form are
+mutually orthogonal, so two forms are isomorphic iff their p-parts are.  At
+an odd prime q is determined by b, and a nondegenerate p-part is classified
+by its Jordan invariants: for each scale p^t, the rank of the homogeneous
+component and the Legendre symbol of its unit determinant (Wall, "Quadratic
+forms on finite groups", Topology 1963; Nikulin 1979, 1.8).  Only the
+2-part and degenerate odd parts are compared by exhaustive search over
+generator images.  A nondegenerate 2-part whose scales leave gaps of three
+or more is first replaced by a smaller model with those gaps shortened,
+which keeps the class of its 2-adic symbol (Conway-Sloane, SPLAG ch. 15).
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
@@ -27,6 +38,9 @@ from .lattice import (
     smith_normal_form,
 )
 
+# Largest part that is_isomorphic searches exhaustively: a 2-part (or its
+# shortened model) or a degenerate odd part.  Nondegenerate odd parts are
+# compared by their Jordan invariants at any order and are not bounded.
 ISO_GROUP_BOUND = 100_000
 
 
@@ -35,7 +49,7 @@ class InvalidForm(ValueError):
 
 
 class TooLarge(ValueError):
-    """Group order exceeds the exhaustive-search bound."""
+    """A part that must be searched exceeds ISO_GROUP_BOUND."""
 
 
 @dataclass(frozen=True)
@@ -222,7 +236,98 @@ class FiniteQF:
         b = [[b[s][t] for t in perm] for s in perm]
         return FiniteQF(tuple(orders), tuple(q), tuple(tuple(r) for r in b))
 
+    # -- prime-by-prime structure ----------------------------------------
+
+    def primary_parts(self) -> dict[int, "FiniteQF"]:
+        """The p-primary parts, by prime; they are orthogonal and sum to the form.
+
+        Generator g_i of order m_i = p^a * c contributes c * g_i, of order p^a.
+        """
+        n, data = self._primary_data()
+        return {p: _scaled_form(orders, qs, bs, n) for p, (orders, qs, bs) in data.items()}
+
+    def _primary_data(self) -> tuple[int, dict[int, tuple]]:
+        """(N, {p: (orders, Q, B)}): the p-parts with q = Q / N and b = B / N.
+
+        N is the exponent of the group, so every value is an integer.
+        """
+        n = lcm(*self.orders)
+        qint = [int(v * n) for v in self.q]
+        bint = [[int(x * n) for x in row] for row in self.b]
+        facs = [_factorize(m) for m in self.orders]
+        data = {}
+        for p in sorted({p for fac in facs for p in fac}):
+            idx = [i for i, fac in enumerate(facs) if p in fac]
+            cof = [self.orders[i] // p ** facs[i][p] for i in idx]
+            data[p] = (tuple(self.orders[i] // c for i, c in zip(idx, cof)),
+                       [c * c * qint[i] % (2 * n) for i, c in zip(idx, cof)],
+                       [[ci * cj * bint[i][j] % n for j, cj in zip(idx, cof)]
+                        for i, ci in zip(idx, cof)])
+        return n, data
+
+    @cached_property
+    def _split(self) -> tuple[tuple, dict[int, "FiniteQF"]]:
+        """(invariants by prime, forms to search).
+
+        The invariants are the Jordan invariants of each nondegenerate odd
+        part and the group structure of a 2-part that is searched through
+        its model.  A nondegenerate 2-part whose scales leave a gap to
+        shorten is searched through that smaller model (which does not keep
+        the group structure); every other 2-part, and a degenerate odd
+        part, is searched as it stands.
+        """
+        n, data = self._primary_data()
+        invariants, searched = [], {}
+        for p, (orders, qs, bs) in data.items():
+            pieces = (_jordan(p, orders, qs, bs, n)
+                      if p != 2 or _two_adic_shortens(orders) else None)
+            if pieces is None:
+                searched[p] = _scaled_form(orders, qs, bs, n)
+            elif p == 2:
+                invariants.append((p, tuple(sorted(orders))))
+                searched[p] = _two_adic_model(pieces)
+            else:
+                invariants.append((p, _odd_invariants(p, pieces)))
+        return tuple(invariants), searched
+
+    def genus_key(self) -> tuple:
+        """Hashable isomorphism invariant.
+
+        It holds the Jordan invariants of the nondegenerate odd parts, the
+        group structure of a 2-part searched through its model, and, for
+        each form that is_isomorphic searches (a 2-part or its model, a
+        degenerate odd part), the counts of (element order, q value) pairs,
+        or only its group structure when it exceeds ISO_GROUP_BOUND.
+        Isomorphic forms have equal keys; equal keys decide isomorphism
+        when no part needs a search.
+        """
+        invariants, searched = self._split
+        return invariants, tuple((p, part._value_counts()) for p, part in searched.items())
+
+    def _value_counts(self) -> tuple:
+        if self.group_order > ISO_GROUP_BOUND:
+            return tuple(sorted(_abelian_factors(self.orders).items()))
+        table, _ = self._scaled_tables(lcm(*self.orders))
+        return tuple(sorted(Counter(table.values()).items()))
+
     # -- isomorphism ----------------------------------------------------
+
+    def is_isomorphic(self, other: "FiniteQF") -> bool:
+        """Is there a group isomorphism carrying q to q?
+
+        Decided prime by prime: group orders, then the Jordan invariants of
+        the nondegenerate odd parts, then an exhaustive search on each
+        remaining part (the 2-part or its model, and any degenerate odd
+        part).
+        """
+        if self.group_order != other.group_order:
+            return False
+        invariants1, searched1 = self._split
+        invariants2, searched2 = other._split
+        if invariants1 != invariants2:
+            return False
+        return all(part._search_isomorphic(searched2[p])
+                   for p, part in searched1.items())
 
     def _element_order(self, x: tuple[int, ...]) -> int:
         return lcm(*(m // gcd(m, xi) for m, xi in zip(self.orders, x))) if x else 1
@@ -259,8 +364,8 @@ class FiniteQF:
         snf = smith_normal_form(mat)
         return all(snf.D[i][i] == 1 for i in range(k2))
 
-    def is_isomorphic(self, other: "FiniteQF") -> bool:
-        """Exhaustive test for an isomorphism carrying q to q.
+    def _search_isomorphic(self, other: "FiniteQF") -> bool:
+        """Exhaustive search for an isomorphism carrying q to q.
 
         It is enough to match q on generators and b on generator pairs:
         bilinear expansion then transports q everywhere, and b is determined
@@ -269,7 +374,8 @@ class FiniteQF:
         if self.group_order != other.group_order:
             return False
         if self.group_order > ISO_GROUP_BOUND:
-            raise TooLarge(f"group order {self.group_order} exceeds {ISO_GROUP_BOUND}")
+            raise TooLarge(f"the part to search has order {self.group_order}, "
+                           f"over the bound {ISO_GROUP_BOUND}")
         if _abelian_factors(self.orders) != _abelian_factors(other.orders):
             return False
         if not self.orders:
@@ -281,13 +387,7 @@ class FiniteQF:
         table1, _ = self._scaled_tables(scale)
         table2, bs2 = other._scaled_tables(scale)
 
-        counts1: dict[tuple[int, int], int] = {}
-        counts2: dict[tuple[int, int], int] = {}
-        for sig in table1.values():
-            counts1[sig] = counts1.get(sig, 0) + 1
-        for sig in table2.values():
-            counts2[sig] = counts2.get(sig, 0) + 1
-        if counts1 != counts2:
+        if Counter(table1.values()) != Counter(table2.values()):
             return False
 
         by_sig: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -353,21 +453,143 @@ class FiniteQF:
         return f"{base} [{pairs}]"
 
 
+def _scaled_form(orders, qs, bs, n: int) -> "FiniteQF":
+    return FiniteQF(tuple(orders), tuple(Fraction(v, n) for v in qs),
+                    tuple(tuple(Fraction(x, n) for x in row) for row in bs))
+
+
+def _jordan(p: int, orders, qs, bs, top: int) -> list[tuple[int, tuple, tuple]] | None:
+    """Orthogonal splitting of a p-group form into homogeneous pieces.
+
+    The form has generators of the given orders, q = qs / top (mod 2) and
+    b = bs / top (mod 1).  Each piece is (n, B, Q): n = p^a its exponent,
+    B[i][j] = n * b and Q[i] = n * q (mod 2n) on its one or two generators.
+    Each step splits off, at the exponent n of what remains, a generator y
+    with n * b(y, y) a unit, or at p = 2 failing that a pair v, w with
+    n * b(v, w) odd (at odd p the sum v + w then serves as y), and projects
+    the other generators onto the orthogonal complement.  No such piece
+    exists when (n/p) times the remainder lies in the radical, so None
+    means b is degenerate.
+    """
+    k = len(orders)
+
+    def pair(x, y) -> int:
+        return sum(x[i] * bs[i][j] * y[j]
+                   for i in range(k) if x[i] for j in range(k) if y[j]) % top
+
+    def norm(x) -> int:
+        return (sum(x[i] * x[i] * qs[i] for i in range(k))
+                + 2 * sum(x[i] * x[j] * bs[i][j]
+                          for i in range(k) for j in range(i + 1, k))) % (2 * top)
+
+    def order(x) -> int:
+        return max(m // gcd(m, xi) for m, xi in zip(orders, x))
+
+    gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    pieces = []
+    while True:
+        gens = [w for w in gens if order(w) > 1]
+        if not gens:
+            return pieces
+        n = max(order(w) for w in gens)
+        s = top // n  # elements of order <= n pair to (multiples of s) / top
+        basis = next(([w] for w in gens if (pair(w, w) // s) % p), None)
+        if basis is None:
+            basis = next(([v, w] if p == 2 else [tuple(a + c for a, c in zip(v, w))]
+                          for i, v in enumerate(gens) for w in gens[i + 1:]
+                          if (pair(v, w) // s) % p), None)
+        if basis is None:
+            return None
+        gram = [[pair(x, y) // s for y in basis] for x in basis]
+        if len(basis) == 1:
+            inv = [[pow(gram[0][0], -1, n)]]
+        else:
+            (a, c), (_, d) = gram
+            e = pow(a * d - c * c, -1, n)
+            inv = [[d * e, -c * e], [-c * e, a * e]]
+        new = []
+        for w in gens:
+            bw = [pair(w, x) // s for x in basis]
+            coef = [sum(r[j] * bw[j] for j in range(len(basis))) % n for r in inv]
+            new.append(tuple((wi - sum(c * x[i] for c, x in zip(coef, basis))) % m
+                             for i, (wi, m) in enumerate(zip(w, orders))))
+        gens = new
+        pieces.append((n, tuple(map(tuple, gram)),
+                       tuple((norm(x) // s) % (2 * n) for x in basis)))
+
+
+def _odd_invariants(p: int, pieces) -> tuple[tuple[int, int, int], ...]:
+    """(t, rank, Legendre symbol of the unit determinant) per scale p^t."""
+    blocks: dict[int, list[int]] = {}  # exponent -> [rank, unit determinant mod p]
+    for n, gram, _ in pieces:
+        blk = blocks.setdefault(n, [0, 1])
+        blk[0] += 1
+        blk[1] = blk[1] * gram[0][0] % p
+    return tuple((_factorize(n)[p], rank, 1 if pow(det, (p - 1) // 2, p) == 1 else -1)
+                 for n, (rank, det) in sorted(blocks.items()))
+
+
+def _two_adic_shortens(orders) -> bool:
+    """Would _two_adic_model shorten a scale gap for a 2-part of these orders?"""
+    exps = sorted({m.bit_length() - 1 for m in orders})
+    return any(b - a > 3 for a, b in zip([0] + exps, exps))
+
+
+def _two_adic_model(pieces) -> FiniteQF:
+    """A small stand-in for a nondegenerate 2-part, split into ``pieces``.
+
+    Two 2-parts of the same group structure are isomorphic iff their models
+    are; the model alone does not keep the group structure.  Pieces become
+    <u / 2^k> (u mod 2^(k+1)) and the blocks u_k or v_k, which is the data
+    of the 2-adic symbol (Conway-Sloane, SPLAG ch. 15 sec. 7).  A gap of
+    three or more between consecutive scales, counting up from scale
+    1 = 2^0, is shortened to three: such a gap holds two empty (even)
+    constituents, so it already separates trains and compartments, and the
+    equivalences of 2-adic symbols never act across it.  For k >= 3 the
+    class of <u / 2^k> depends only on u mod 8, so the shorter scale keeps
+    it.
+    """
+    scale: dict[int, int] = {}
+    old = new = 1
+    for n in sorted({n for n, _, _ in pieces}):
+        new <<= min(n.bit_length() - old.bit_length(), 3)
+        scale[n], old = new, n
+    orders: list[int] = []
+    qvals: list[Fraction] = []
+    pairings = {}
+    for n, _, norms in pieces:
+        m = scale[n]
+        if len(norms) == 1:
+            orders.append(m)
+            qvals.append(Fraction(norms[0] % (2 * m), m))
+        else:  # v_k when both norms are 2 * odd, else the hyperbolic u_k
+            v = (norms[0] // 2) % 2 and (norms[1] // 2) % 2
+            pairings[(len(orders), len(orders) + 1)] = Fraction(1, m)
+            orders += [m, m]
+            qvals += [Fraction(2 * v, m)] * 2
+    return FiniteQF.from_generators(orders, qvals, pairings)
+
+
+def _factorize(m: int) -> dict[int, int]:
+    """Prime factorization {p: e} of m >= 1, by trial division."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
 def _abelian_factors(orders) -> dict[int, int]:
     """Multiset of prime-power cyclic factors of a product of cyclic groups."""
     out: dict[int, int] = {}
     for m in orders:
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                pe = 1
-                while m % d == 0:
-                    pe *= d
-                    m //= d
-                out[pe] = out.get(pe, 0) + 1
-            d += 1
-        if m > 1:
-            out[m] = out.get(m, 0) + 1
+        for p, e in _factorize(m).items():
+            out[p ** e] = out.get(p ** e, 0) + 1
     return out
 
 

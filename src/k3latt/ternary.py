@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .lattice import DegenerateLattice, GramMatrix, determinant, signature, twist
 
 DEFAULT_BOUND = 20
@@ -143,6 +141,7 @@ def local_obstruction(f: TernaryForm, p: int, e: int,
     work = m * m if axis is not None else m * m * m
     if work > budget:
         raise SearchTooLarge(f"modular search size {work} exceeds budget {budget}")
+    import numpy as np  # only this search uses numpy, so `import k3latt` stays light
 
     if axis is not None:
         i, j = [t for t in range(3) if t != axis]

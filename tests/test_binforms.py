@@ -209,6 +209,11 @@ class TestGenusAndMatching:
         sizes = sorted(len(g) for g in genus_partition(56))
         assert sizes == [2, 2]
 
+    def test_past_search_bound(self):
+        # |G| = 100003 is odd: every class is keyed by Jordan invariants alone
+        flat = [f for g in genus_partition(100003) for f in g]
+        assert sorted(flat, key=lambda f: (f.a, f.b, f.c)) == enumerate_reduced(100003)
+
     def test_match_goldens(self):
         assert forms_as_matrices(match_disc_form(15, parse_form_literal("Z15(4/15)"))) == {
             ((4, 1), (1, 4))}

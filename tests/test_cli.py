@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import k3latt
+from k3latt.catalog import CatalogError
 from k3latt.cli import main
 
 
@@ -62,6 +67,16 @@ class TestQueries:
     def test_match_failure_exit(self, capsys):
         code, out, _ = run(capsys, "match", "15", "Z15(26/15)")
         assert code == 1 and out.strip() == "no match"
+
+    def test_match_past_search_bound(self, capsys):
+        # |G| = 200003 is odd: decided by Jordan invariants, no search bound
+        code, out, err = run(capsys, "match", "200003", "Z200003(2/200003)")
+        assert code in (0, 1) and "bound" not in err
+
+    def test_match_large_two_part(self, capsys):
+        # the 2-part Z2 + Z65536 is searched through a model of order 32
+        code, out, _ = run(capsys, "match", "131072", "Z2(1/2)+Z65536(1/65536)")
+        assert code == 0 and "[2 0; 0 65536]" in out.splitlines()
 
     def test_equivalent(self, capsys):
         code, out, _ = run(capsys, "equivalent", "[4 2; 2 16]", "[4 -2; -2 16]")
@@ -132,6 +147,15 @@ class TestRepro:
         assert data["passed"] is True
         assert all(r["ok"] for r in data["rows"])
 
+    def test_row_without_d_is_usage_error(self, capsys, tmp_path):
+        row = {"case": "1", "matrix": [[2, 1], [1, 2]]}
+        p = tmp_path / "cat.json"
+        p.write_text(json.dumps({"families": [{"name": "F", "singular": [row]}]}))
+        code, _, err = run(capsys, "repro", "table1", "--data", str(p))
+        assert code == 2
+        assert err.startswith("error: ") and "F" in err and "'d'" in err
+        assert issubclass(CatalogError, ValueError)
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -144,3 +168,10 @@ class TestUsageErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "discform", "/nonexistent/path.gram")
         assert code == 2
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(k3latt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, k3latt; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -179,8 +179,45 @@ class TestIsIsomorphic:
         paired = FiniteQF.from_generators([2, 2, 42], ["0", "0", "5/42"], {(0, 1): "1/2"})
         assert not plain.is_isomorphic(paired)
 
+    def test_odd_jordan_invariants(self):
+        assert parse_form_literal("Z30(23/30)").genus_key()[0] == (
+            (3, ((1, 1, -1),)), (5, ((1, 1, -1),)))
+        # rank 2 at p = 3: only the Legendre symbol of the determinant counts
+        a = parse_form_literal("Z3(2/3)+Z3(2/3)")
+        assert a.is_isomorphic(parse_form_literal("Z3(4/3)+Z3(4/3)"))
+        assert not a.is_isomorphic(parse_form_literal("Z3(2/3)+Z3(4/3)"))
+
+    def test_primary_parts_sum_to_form(self):
+        f = FiniteQF.from_generators([2, 2, 42], ["0", "0", "5/42"], {(0, 1): "1/2"})
+        parts = f.primary_parts()
+        assert {p: g.group_order for p, g in parts.items()} == {2: 8, 3: 3, 7: 7}
+        assert direct_sum(*parts.values()).is_isomorphic(f)
+
+    def test_degenerate_odd_part_is_searched(self):
+        f = parse_form_literal("Z25(0)")
+        assert f.genus_key()[0] == ()
+        assert f.is_isomorphic(parse_form_literal("Z25(0)"))
+        assert not f.is_isomorphic(parse_form_literal("Z25(2/5)"))
+
+    def test_shortened_two_parts_keep_group_structure(self):
+        # both 2-parts shorten to scales 8 and 64, but Z8+Z1024 is not Z32+Z256
+        a = parse_form_literal("Z8(1/8)+Z1024(13/1024)")
+        b = parse_form_literal("Z32(1/32)+Z256(13/256)")
+        assert not a.is_isomorphic(b)
+        assert a.genus_key() != b.genus_key()
+        assert a.is_isomorphic(parse_form_literal("Z8(9/8)+Z1024(5/1024)"))
+
+    def test_equal_keys_still_searched(self):
+        # the 2-parts have the same (order, q) counts but are not isomorphic
+        z2 = parse_form_literal("Z2(1/2)")
+        a = z2.direct_sum(FiniteQF.from_generators([4, 4], [0, 0], {(0, 1): "1/2"}))
+        b = z2.direct_sum(FiniteQF.from_generators([4, 4], ["1/2", 0], {(0, 1): "1/2"}))
+        assert a.genus_key() == b.genus_key()
+        assert not a.is_isomorphic(b)
+
     def test_too_large(self):
-        a = FiniteQF.cyclic(400, 0).direct_sum(FiniteQF.cyclic(400, 0))
+        # the 2-part must be searched, and 512 * 512 exceeds ISO_GROUP_BOUND
+        a = FiniteQF.cyclic(512, 0).direct_sum(FiniteQF.cyclic(512, 0))
         with pytest.raises(TooLarge):
             a.is_isomorphic(a)
 

@@ -3,17 +3,23 @@
 The SL2 search here is deliberately separate from the reduce-and-compare
 implementation it cross-checks: it enumerates every determinant-1 integer
 matrix with bounded entries and transforms the form coordinates directly.
+The discriminant-form oracle is the whole-group exhaustive isomorphism
+search that the prime-by-prime ``FiniteQF.is_isomorphic`` replaced.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
+from itertools import product
+from math import gcd, lcm
 
 import numpy as np
 
-from k3latt.binforms import EvenBinaryForm, UnimodularTransform
-from k3latt.lattice import GramMatrix, determinant
+from k3latt.binforms import EvenBinaryForm, UnimodularTransform, enumerate_reduced
+from k3latt.discforms import FiniteQF
+from k3latt.lattice import GramMatrix, determinant, smith_normal_form
 
 
 @lru_cache(maxsize=None)
@@ -77,3 +83,151 @@ def random_posdef_form(rng: random.Random, bound: int = 12) -> EvenBinaryForm:
         c = rng.randint(-bound, bound)
         if 4 * a * b - c * c > 0:
             return EvenBinaryForm(a, b, c)
+
+
+
+def change_basis(g: GramMatrix, rng: random.Random, steps: int = 6) -> GramMatrix:
+    """U^T G U for a random unimodular U built from row shears and swaps."""
+    rows = [list(r) for r in g.rows]
+    n = len(rows)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.3:
+            for r in rows:
+                r[i], r[j] = r[j], r[i]
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            c = rng.randint(-2, 2)
+            for r in rows:  # column i += c * column j
+                r[i] += c * r[j]
+            for k in range(n):  # row i += c * row j
+                rows[i][k] += c * rows[j][k]
+    return GramMatrix.from_rows(rows)
+
+
+def shear(f: FiniteQF, i: int, j: int, c: int) -> FiniteQF:
+    """The same form on the generators with g_i replaced by g_i + c * g_j.
+
+    That is a change of generators when c * g_j has order dividing m_i.
+    """
+    k = len(f.orders)
+    coeffs = [[int(r == s) for s in range(k)] for r in range(k)]
+    coeffs[i][j] += c
+    q = tuple(f.evaluate(v) for v in coeffs)
+    b = tuple(tuple(f.pairing(v, w) for w in coeffs) for v in coeffs)
+    return FiniteQF(f.orders, q, b)
+
+
+def scale_form(f: FiniteQF, u: int) -> FiniteQF:
+    """q -> u * q on the same generators (nondegenerate when u is a unit)."""
+    return FiniteQF(f.orders, tuple(u * v % 2 for v in f.q),
+                    tuple(tuple(u * x % 1 for x in row) for row in f.b))
+
+# -- whole-group discriminant-form isomorphism --------------------------------
+
+def _prime_power_factors(orders) -> Counter:
+    out: Counter = Counter()
+    for m in orders:
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                pe = 1
+                while m % d == 0:
+                    pe *= d
+                    m //= d
+                out[pe] += 1
+            d += 1
+        if m > 1:
+            out[m] += 1
+    return out
+
+
+def _element_order(orders, x) -> int:
+    return lcm(*(m // gcd(m, xi) for m, xi in zip(orders, x))) if x else 1
+
+
+def _scaled_table(f: FiniteQF, scale: int) -> dict:
+    """(element order, q * scale mod 2 * scale) for every group element."""
+    k = len(f.orders)
+    qs = [int(v * scale) for v in f.q]
+    bs = [[int(x * scale) for x in row] for row in f.b]
+    table = {}
+    for x in product(*(range(m) for m in f.orders)):
+        val = 0
+        for i in range(k):
+            if x[i]:
+                val += x[i] * x[i] * qs[i]
+                for j in range(i + 1, k):
+                    val += 2 * x[i] * x[j] * bs[i][j]
+        table[x] = (_element_order(f.orders, x), val % (2 * scale))
+    return table
+
+
+def _generates_all(images, orders) -> bool:
+    k = len(orders)
+    mat = [[img[r] for img in images] + [orders[r] if c == r else 0 for c in range(k)]
+           for r in range(k)]
+    snf = smith_normal_form(mat)
+    return all(snf.D[i][i] == 1 for i in range(k))
+
+
+def exhaustive_isomorphic(f1: FiniteQF, f2: FiniteQF) -> bool:
+    """Search the whole group for generator images carrying q1 to q2.
+
+    Images are pruned by (element order, q value) and by the pairings with
+    the images already chosen; a full assignment must generate the target.
+    No bound is applied.
+    """
+    n1, n2 = f1.group_order, f2.group_order
+    if n1 != n2 or _prime_power_factors(f1.orders) != _prime_power_factors(f2.orders):
+        return False
+    if not f1.orders:
+        return True
+    scale = lcm(*([v.denominator for v in f1.q + f2.q]
+                  + [x.denominator for f in (f1, f2) for row in f.b for x in row]))
+    table1, table2 = _scaled_table(f1, scale), _scaled_table(f2, scale)
+    if Counter(table1.values()) != Counter(table2.values()):
+        return False
+    by_sig: dict = {}
+    for x, sig in table2.items():
+        by_sig.setdefault(sig, []).append(x)
+    k = len(f1.orders)
+    idx = sorted(range(k), key=lambda i: -f1.orders[i])
+    qs1 = [int(v * scale) for v in f1.q]
+    bs1 = [[int(x * scale) for x in row] for row in f1.b]
+    bs2 = [[int(x * scale) for x in row] for row in f2.b]
+
+    def pair2(x, y) -> int:
+        return sum(x[i] * y[j] * bs2[i][j]
+                   for i in range(len(x)) for j in range(len(y))) % scale
+
+    images = [None] * k
+
+    def search(pos: int) -> bool:
+        if pos == k:
+            return _generates_all(images, f2.orders)
+        i = idx[pos]
+        for cand in by_sig.get((f1.orders[i], qs1[i] % (2 * scale)), ()):
+            if all(pair2(cand, images[prev]) == bs1[i][prev] % scale for prev in idx[:pos]):
+                images[i] = cand
+                if search(pos + 1):
+                    return True
+                images[i] = None
+        return False
+
+    return search(0)
+
+
+def exhaustive_genus_partition(d: int) -> list[list[EvenBinaryForm]]:
+    """Reduced forms of discriminant d grouped by pairwise exhaustive search."""
+    forms = enumerate_reduced(d)
+    disc = [FiniteQF.from_lattice(f.gram) for f in forms]
+    groups: list[list[int]] = []
+    for i in range(len(forms)):
+        for g in groups:
+            if exhaustive_isomorphic(disc[g[0]], disc[i]):
+                g.append(i)
+                break
+        else:
+            groups.append([i])
+    return [[forms[i] for i in g] for g in groups]
