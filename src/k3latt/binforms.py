@@ -136,7 +136,8 @@ def reduce(f: EvenBinaryForm) -> tuple[EvenBinaryForm, UnimodularTransform]:
         step = UnimodularTransform(((0, -1), (1, 0)))
         cur = apply_transform(cur, step)
         total = total.then(step)
-    assert apply_transform(f, total) == cur
+    if apply_transform(f, total) != cur:
+        raise AssertionError(f"the accumulated transform does not carry {f} to {cur}")
     return cur, total
 
 
@@ -182,7 +183,8 @@ def equivalent(f1: EvenBinaryForm, f2: EvenBinaryForm) -> UnimodularTransform | 
     if r1 != r2:
         return None
     t = t1.then(t2.inverse())
-    assert apply_transform(f1, t) == f2
+    if apply_transform(f1, t) != f2:
+        raise AssertionError(f"the composed transform does not carry {f1} to {f2}")
     return t
 
 

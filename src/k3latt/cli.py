@@ -48,12 +48,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _finiteqf_json(f: discforms.FiniteQF) -> dict:
+    b = f.b
     return {
         "orders": list(f.orders),
         "q": [str(v) for v in f.q],
-        "b": [[i, j, str(f.b[i][j])]
+        "b": [[i, j, str(b[i][j])]
               for i in range(len(f.orders)) for j in range(i + 1, len(f.orders))
-              if f.b[i][j] != 0],
+              if b[i][j] != 0],
         "literal": f.literal(),
     }
 

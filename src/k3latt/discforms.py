@@ -2,7 +2,15 @@
 
 A form is presented by generators: a list of orders m_i, the values
 q(g_i) in Q/2Z, and the pairings b(g_i, g_j) in Q/Z.  The presentation is
-kept as given (cyclic_normalize is explicit, never implicit).
+kept as given (cyclic_normalize is explicit, never implicit).  It is stored
+in integers over the exponent n = lcm(m_i) of the group, Q[i] = n * q(g_i)
+mod 2n and B[i][j] = n * b(g_i, g_j) mod n, and all arithmetic runs on
+those; the Fraction values ``q`` and ``b`` are computed only when read, for
+text and JSON output.  The discriminant form of a lattice comes from the
+Smith normal form U G V = D of its Gram matrix: the columns V_i / D_i with
+D_i > 1 generate L*/L (Cohen, "A Course in Computational Algebraic Number
+Theory", 2.4), so Q[i] = n V_i^T G V_i / D_i^2 and
+B[i][j] = n V_i^T G V_j / (D_i D_j) are integer dot products.
 
 Isomorphism is decided prime by prime.  The p-primary parts of a form are
 mutually orthogonal, so two forms are isomorphic iff their p-parts are.  At
@@ -31,10 +39,6 @@ from .lattice import (
     GramMatrix,
     OddLattice,
     DegenerateLattice,
-    determinant,
-    discriminant_group,
-    pairing_modZ,
-    qnorm_mod2Z,
     smith_normal_form,
 )
 
@@ -52,41 +56,74 @@ class TooLarge(ValueError):
     """A part that must be searched exceeds ISO_GROUP_BOUND."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteQF:
     """Finite abelian group with a Q/2Z quadratic form and Q/Z pairing.
 
-    ``orders[i]`` is the order of generator g_i, ``q[i] = q(g_i)`` in [0,2),
-    and ``b[i][j] = b(g_i, g_j)`` in [0,1) with b[i][i] == q[i] mod 1.
+    ``FiniteQF(orders, q, b)``: ``orders[i]`` is the order of generator g_i,
+    ``q[i] = q(g_i)`` in [0,2), and ``b[i][j] = b(g_i, g_j)`` in [0,1) with
+    b[i][i] == q[i] mod 1.  Stored are ``n = lcm(orders)`` and the integers
+    ``Q[i] = n * q[i]`` and ``B[i][j] = n * b[i][j]``.
     """
 
     orders: tuple[int, ...]
-    q: tuple[Fraction, ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    n: int
+    Q: tuple[int, ...]
+    B: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        k = len(self.orders)
-        if len(self.q) != k or len(self.b) != k or any(len(r) != k for r in self.b):
+    def __init__(self, orders, q, b):
+        orders = tuple(orders)
+        n = lcm(*orders)
+        self._set(orders, n, tuple(_numerator(v, n) for v in q),
+                  tuple(tuple(_numerator(x, n) for x in row) for row in b))
+
+    @classmethod
+    def _of(cls, orders, n: int, Q, B) -> "FiniteQF":
+        """The form with q = Q / n (mod 2) and b = B / n (mod 1), n = lcm(orders)."""
+        self = object.__new__(cls)
+        self._set(tuple(orders), n, tuple(v % (2 * n) for v in Q),
+                  tuple(tuple(x % n for x in row) for row in B))
+        return self
+
+    def _set(self, orders, n, Q, B) -> None:
+        k = len(orders)
+        if len(Q) != k or len(B) != k or any(len(r) != k for r in B):
             raise InvalidForm("inconsistent presentation sizes")
-        for i, m in enumerate(self.orders):
-            if m < 2:
-                raise InvalidForm("generator orders must be >= 2")
-            qi = self.q[i]
-            if not (0 <= qi < 2):
-                raise InvalidForm(f"q value {qi} outside [0, 2)")
-            if (m * m * qi) % 2 != 0:
-                raise InvalidForm(f"q({m}*g) = {m * m * qi} must vanish mod 2Z")
-            if self.b[i][i] != qi % 1:
+        if any(m < 2 for m in orders):
+            raise InvalidForm("generator orders must be >= 2")
+        if n != lcm(*orders):
+            raise InvalidForm(f"scale {n} is not the exponent of the group")
+        for i, m in enumerate(orders):
+            qi = Q[i]
+            if not (0 <= qi < 2 * n):
+                raise InvalidForm(f"q value {Fraction(qi, n)} outside [0, 2)")
+            if m * m * qi % (2 * n):
+                raise InvalidForm(f"q({m}*g) = {Fraction(m * m * qi, n)} must vanish mod 2Z")
+            if B[i][i] != qi % n:
                 raise InvalidForm("pairing diagonal must equal q mod Z")
         for i in range(k):
             for j in range(k):
-                bij = self.b[i][j]
-                if not (0 <= bij < 1):
-                    raise InvalidForm(f"pairing {bij} outside [0, 1)")
-                if bij != self.b[j][i]:
+                bij = B[i][j]
+                if not (0 <= bij < n):
+                    raise InvalidForm(f"pairing {Fraction(bij, n)} outside [0, 1)")
+                if bij != B[j][i]:
                     raise InvalidForm("pairing must be symmetric")
-                if (self.orders[i] * bij) % 1 != 0 or (self.orders[j] * bij) % 1 != 0:
+                if orders[i] * bij % n or orders[j] * bij % n:
                     raise InvalidForm("pairing must be killed by both generator orders")
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "B", B)
+
+    @property
+    def q(self) -> tuple[Fraction, ...]:
+        """q(g_i) in [0, 2), as Fractions."""
+        return tuple(Fraction(v, self.n) for v in self.Q)
+
+    @property
+    def b(self) -> tuple[tuple[Fraction, ...], ...]:
+        """b(g_i, g_j) in [0, 1), as Fractions."""
+        return tuple(tuple(Fraction(x, self.n) for x in row) for row in self.B)
 
     # -- constructors ---------------------------------------------------
 
@@ -121,20 +158,26 @@ class FiniteQF:
 
     @staticmethod
     def from_lattice(g: GramMatrix) -> "FiniteQF":
-        """Discriminant form of an even nondegenerate lattice."""
+        """Discriminant form of an even nondegenerate lattice.
+
+        With U G V = D in Smith normal form, column i of V divided by
+        D_i = D[i][i] is a dual vector of order D_i in L*/L, and those with
+        D_i > 1 generate it.
+        """
         if not g.is_even():
             raise OddLattice("discriminant form requires an even lattice")
-        if determinant(g) == 0:
+        snf = smith_normal_form(g.rows)
+        diag = [snf.D[i][i] for i in range(g.n)]
+        if 0 in diag:
             raise DegenerateLattice("discriminant form requires det != 0")
-        factors, gens = discriminant_group(g)
-        q = tuple(qnorm_mod2Z(g, v) for v in gens)
-        k = len(gens)
-        b = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            b[i][i] = q[i] % 1
-            for j in range(i + 1, k):
-                b[i][j] = b[j][i] = pairing_modZ(g, gens[i], gens[j])
-        return FiniteQF(tuple(factors), q, tuple(tuple(r) for r in b))
+        idx = [i for i, d in enumerate(diag) if d > 1]
+        orders = [diag[i] for i in idx]
+        n = lcm(*orders)
+        cols = [[row[i] for row in snf.V] for i in idx]
+        gcols = [[sum(x * c for x, c in zip(row, col)) for row in g.rows] for col in cols]
+        raw = [[sum(x * y for x, y in zip(v, gw)) * n // (d * e)
+                for gw, e in zip(gcols, orders)] for v, d in zip(cols, orders)]
+        return FiniteQF._of(orders, n, [raw[i][i] for i in range(len(raw))], raw)
 
     # -- basic algebra --------------------------------------------------
 
@@ -148,26 +191,22 @@ class FiniteQF:
     def is_orthogonal(self) -> bool:
         """True when all cross-pairings between distinct generators vanish."""
         k = len(self.orders)
-        return all(self.b[i][j] == 0 for i in range(k) for j in range(i + 1, k))
+        return all(self.B[i][j] == 0 for i in range(k) for j in range(i + 1, k))
 
     def direct_sum(self, other: "FiniteQF") -> "FiniteQF":
         """Orthogonal sum: concatenated generators, zero cross-pairings."""
+        n = lcm(self.n, other.n)
+        s, t = n // self.n, n // other.n
         k1, k2 = len(self.orders), len(other.orders)
-        b = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                b[i][j] = self.b[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                b[k1 + i][k1 + j] = other.b[i][j]
-        return FiniteQF(self.orders + other.orders, self.q + other.q,
-                        tuple(tuple(r) for r in b))
+        b = ([[x * s for x in row] + [0] * k2 for row in self.B]
+             + [[0] * k1 + [x * t for x in row] for row in other.B])
+        return FiniteQF._of(self.orders + other.orders, n,
+                            [v * s for v in self.Q] + [v * t for v in other.Q], b)
 
     def negate(self) -> "FiniteQF":
         """Sign-flip: q -> (2 - q) mod 2Z, b -> (1 - b) mod Z."""
-        q = tuple((2 - v) % 2 for v in self.q)
-        b = tuple(tuple((1 - x) % 1 for x in row) for row in self.b)
-        return FiniteQF(self.orders, q, b)
+        return FiniteQF._of(self.orders, self.n, [-v for v in self.Q],
+                            [[-x for x in row] for row in self.B])
 
     def evaluate(self, coeffs) -> Fraction:
         """q of the combination sum(c_i * g_i), via bilinear expansion."""
@@ -176,21 +215,21 @@ class FiniteQF:
             raise DimensionMismatch(
                 f"expected {len(self.orders)} coefficients, got {len(c)}")
         c = [x % m for x, m in zip(c, self.orders)]
-        val = sum((Fraction(ci * ci) * qi for ci, qi in zip(c, self.q)), Fraction(0))
+        val = sum(ci * ci * qi for ci, qi in zip(c, self.Q))
         for i in range(len(c)):
             for j in range(i + 1, len(c)):
-                val += 2 * c[i] * c[j] * self.b[i][j]
-        return val % 2
+                val += 2 * c[i] * c[j] * self.B[i][j]
+        return Fraction(val % (2 * self.n), self.n)
 
     def pairing(self, coeffs1, coeffs2) -> Fraction:
         """b of two combinations, in [0, 1)."""
         c1 = [int(x) for x in coeffs1]
         c2 = [int(x) for x in coeffs2]
-        val = Fraction(0)
+        val = 0
         for i, x in enumerate(c1):
             for j, y in enumerate(c2):
-                val += x * y * self.b[i][j]
-        return val % 1
+                val += x * y * self.B[i][j]
+        return Fraction(val % self.n, self.n)
 
     def cyclic_normalize(self) -> "FiniteQF":
         """Merge coprime-order generators by CRT, then sort summands.
@@ -200,9 +239,10 @@ class FiniteQF:
         Merging is leftmost-first and the result is sorted by (order, q),
         which makes the output deterministic.
         """
+        n = self.n
         orders = list(self.orders)
-        q = list(self.q)
-        b = [list(row) for row in self.b]
+        q = list(self.Q)
+        b = [list(row) for row in self.B]
         while True:
             hit = None
             for i in range(len(orders)):
@@ -218,14 +258,14 @@ class FiniteQF:
             if b[i][j] != 0:
                 raise InvalidForm("coprime generators must pair to zero")
             m = orders[i] * orders[j]
-            qm = (q[i] + q[j]) % 2
-            cross = [(b[i][t] + b[j][t]) % 1 for t in range(len(orders))]
+            qm = (q[i] + q[j]) % (2 * n)
+            cross = [(b[i][t] + b[j][t]) % n for t in range(len(orders))]
             orders[i] = m
             q[i] = qm
             for t in range(len(orders)):
                 if t != i:
                     b[i][t] = b[t][i] = cross[t]
-            b[i][i] = qm % 1
+            b[i][i] = qm % n
             del orders[j], q[j]
             del b[j]
             for row in b:
@@ -234,7 +274,7 @@ class FiniteQF:
         orders = [orders[t] for t in perm]
         q = [q[t] for t in perm]
         b = [[b[s][t] for t in perm] for s in perm]
-        return FiniteQF(tuple(orders), tuple(q), tuple(tuple(r) for r in b))
+        return FiniteQF._of(orders, n, q, b)
 
     # -- prime-by-prime structure ----------------------------------------
 
@@ -251,9 +291,7 @@ class FiniteQF:
 
         N is the exponent of the group, so every value is an integer.
         """
-        n = lcm(*self.orders)
-        qint = [int(v * n) for v in self.q]
-        bint = [[int(x * n) for x in row] for row in self.b]
+        n, qint, bint = self.n, self.Q, self.B
         facs = [_factorize(m) for m in self.orders]
         data = {}
         for p in sorted({p for fac in facs for p in fac}):
@@ -307,7 +345,7 @@ class FiniteQF:
     def _value_counts(self) -> tuple:
         if self.group_order > ISO_GROUP_BOUND:
             return tuple(sorted(_abelian_factors(self.orders).items()))
-        table, _ = self._scaled_tables(lcm(*self.orders))
+        table, _ = self._scaled_tables(self.n)
         return tuple(sorted(Counter(table.values()).items()))
 
     # -- isomorphism ----------------------------------------------------
@@ -333,10 +371,15 @@ class FiniteQF:
         return lcm(*(m // gcd(m, xi) for m, xi in zip(self.orders, x))) if x else 1
 
     def _scaled_tables(self, scale: int):
-        """Integer q values (mod 2*scale) for every group element."""
+        """Integer q values (mod 2*scale) for every group element.
+
+        ``scale`` is a multiple of the exponent n; the pairings B * scale / n
+        come back with the table.
+        """
         k = len(self.orders)
-        qs = [int(v * scale) for v in self.q]
-        bs = [[int(x * scale) for x in row] for row in self.b]
+        s = scale // self.n
+        qs = [v * s for v in self.Q]
+        bs = [[x * s for x in row] for row in self.B]
         table: dict[tuple[int, ...], tuple[int, int]] = {}
         for x in product(*(range(m) for m in self.orders)):
             val = 0
@@ -381,10 +424,8 @@ class FiniteQF:
         if not self.orders:
             return True
 
-        scale = lcm(*( [v.denominator for v in self.q + other.q]
-                     + [x.denominator for row in self.b for x in row]
-                     + [x.denominator for row in other.b for x in row] + [1]))
-        table1, _ = self._scaled_tables(scale)
+        scale = lcm(self.n, other.n)
+        table1, bs1 = self._scaled_tables(scale)
         table2, bs2 = other._scaled_tables(scale)
 
         if Counter(table1.values()) != Counter(table2.values()):
@@ -396,8 +437,7 @@ class FiniteQF:
 
         k = len(self.orders)
         idx = sorted(range(k), key=lambda i: -self.orders[i])
-        qs1 = [int(v * scale) for v in self.q]
-        bs1 = [[int(x * scale) for x in row] for row in self.b]
+        qs1 = [v * (scale // self.n) for v in self.Q]
 
         def pair2(x, y) -> int:
             val = 0
@@ -415,11 +455,11 @@ class FiniteQF:
             if pos == k:
                 return self._generates_all([images[i] for i in range(k)], other)
             i = idx[pos]
-            want = (self.orders[i], qs1[i] % (2 * scale))
+            want = (self.orders[i], qs1[i])
             for cand in by_sig.get(want, ()):
                 ok = True
                 for prev in idx[:pos]:
-                    if pair2(cand, images[prev]) != bs1[i][prev] % scale:
+                    if pair2(cand, images[prev]) != bs1[i][prev]:
                         ok = False
                         break
                 if ok:
@@ -445,17 +485,28 @@ class FiniteQF:
         lit = self.literal()
         if lit is not None:
             return lit
+        b = self.b
         pairs = ", ".join(
-            f"b(g{i + 1},g{j + 1})={self.b[i][j]}"
+            f"b(g{i + 1},g{j + 1})={b[i][j]}"
             for i in range(len(self.orders)) for j in range(i + 1, len(self.orders))
-            if self.b[i][j] != 0)
+            if b[i][j] != 0)
         base = "+".join(f"Z{m}({v})" for m, v in zip(self.orders, self.q))
         return f"{base} [{pairs}]"
 
 
+def _numerator(v, n: int) -> int:
+    """n * v for a value v that must be a multiple of 1/n."""
+    x = Fraction(v) * n
+    if x.denominator != 1:
+        raise InvalidForm(f"value {v} is not a multiple of 1/{n}")
+    return x.numerator
+
+
 def _scaled_form(orders, qs, bs, n: int) -> "FiniteQF":
-    return FiniteQF(tuple(orders), tuple(Fraction(v, n) for v in qs),
-                    tuple(tuple(Fraction(x, n) for x in row) for row in bs))
+    """The form with q = qs / n and b = bs / n, stored over its own exponent."""
+    m = lcm(*orders)
+    s = n // m
+    return FiniteQF._of(orders, m, [v // s for v in qs], [[x // s for x in row] for row in bs])
 
 
 def _jordan(p: int, orders, qs, bs, top: int) -> list[tuple[int, tuple, tuple]] | None:
@@ -554,20 +605,25 @@ def _two_adic_model(pieces) -> FiniteQF:
     for n in sorted({n for n, _, _ in pieces}):
         new <<= min(n.bit_length() - old.bit_length(), 3)
         scale[n], old = new, n
+    top = new
     orders: list[int] = []
-    qvals: list[Fraction] = []
-    pairings = {}
+    qs: list[int] = []
+    blocks: list[tuple[int, int]] = []  # (first generator, top / m)
     for n, _, norms in pieces:
         m = scale[n]
+        s = top // m
         if len(norms) == 1:
             orders.append(m)
-            qvals.append(Fraction(norms[0] % (2 * m), m))
+            qs.append(norms[0] * s)
         else:  # v_k when both norms are 2 * odd, else the hyperbolic u_k
             v = (norms[0] // 2) % 2 and (norms[1] // 2) % 2
-            pairings[(len(orders), len(orders) + 1)] = Fraction(1, m)
+            blocks.append((len(orders), s))
             orders += [m, m]
-            qvals += [Fraction(2 * v, m)] * 2
-    return FiniteQF.from_generators(orders, qvals, pairings)
+            qs += [2 * v * s] * 2
+    bs = [[qs[i] if i == j else 0 for j in range(len(orders))] for i in range(len(orders))]
+    for i, s in blocks:
+        bs[i][i + 1] = bs[i + 1][i] = s
+    return FiniteQF._of(orders, top, qs, bs)
 
 
 def _factorize(m: int) -> dict[int, int]:

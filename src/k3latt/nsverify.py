@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .lattice import (
     DimensionMismatch,
     GramMatrix,
-    Vector,
     determinant,
     is_dual_vector,
     order_in_quotient,
     qnorm_mod2Z,
+    smith_normal_form,
 )
 
 
@@ -92,29 +93,22 @@ class GeneratorsReport:
         return out
 
 
-def _mod1(v: Vector) -> Vector:
-    return tuple(c % 1 for c in v)
-
-
 def generators_report(cfg: CurveConfig,
                       candidates: Sequence[tuple[Sequence[int], int]]) -> GeneratorsReport:
     """Per-candidate reports plus the order of the subgroup they generate.
 
-    The subgroup lives in L^dual/L, realized as vectors mod Z^n; closure
-    under addition of the dual candidates computes its order exactly.
+    The subgroup lives in L^dual/L, realized as vectors mod Z^r.  With N
+    the lcm of the dual candidates' divisors n_i, multiplying by N carries
+    it onto the subgroup of (Z/N)^r generated by w_i = (N/n_i) c_i, whose
+    order is N^r divided by the index of the lattice spanned by the w_i
+    and N Z^r: the product of the Smith normal form diagonal of
+    [w_1 ... w_k | N I].  Time and memory do not grow with the order.
     """
     reports = tuple(check_divisible_class(cfg, coeffs, n) for coeffs, n in candidates)
-    gens = [_mod1(tuple(Fraction(c, n) for c in r.coeffs))
-            for r, (coeffs, n) in zip(reports, candidates) if r.in_dual]
-    seen: set[Vector] = {tuple(Fraction(0) for _ in range(cfg.gram.n))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = _mod1(tuple(a + b for a, b in zip(v, g)))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return GeneratorsReport(reports, len(seen), abs(determinant(cfg.gram)))
+    dual = [r for r in reports if r.in_dual]
+    scale = lcm(*(r.n for r in dual))
+    rank = cfg.gram.n
+    mat = [[scale // r.n * r.coeffs[i] for r in dual]
+           + [scale if i == j else 0 for j in range(rank)] for i in range(rank)]
+    index = prod(smith_normal_form(mat).invariant_factors)
+    return GeneratorsReport(reports, scale ** rank // index, abs(determinant(cfg.gram)))

@@ -107,7 +107,8 @@ def find_isotropic(f: TernaryForm, bound: int) -> Optional[tuple[int, int, int]]
                 roots = sorted(set(roots), key=lambda z: (abs(z), -z))
             for z in roots:
                 if abs(z) <= bound and (x, y, z) != (0, 0, 0):
-                    assert f.value((x, y, z)) == 0
+                    if f.value((x, y, z)) != 0:
+                        raise AssertionError(f"({x}, {y}, {z}) is not a zero of the form")
                     return (x, y, z)
     return None
 

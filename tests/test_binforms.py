@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import k3latt
 from k3latt.binforms import (
     CMSurd,
     EmptyResult,
@@ -256,3 +260,27 @@ class TestHessian:
         assert hessian_embeddable(EvenBinaryForm(2, 2, 1))      # n = m = 2
         assert hessian_embeddable(EvenBinaryForm(1, 4, 1))      # m = 4
         assert not hessian_embeddable(EvenBinaryForm(1, 1, 1))  # all odd, d = 3
+
+
+def test_reduce_self_check_survives_optimize():
+    # python -O strips assert statements; reduce must still refuse a result
+    # that its accumulated transform does not reproduce
+    code = """
+import sys
+import k3latt.binforms as bf
+if not sys.flags.optimize:
+    sys.exit(2)
+correct = bf.apply_transform
+def broken(f, t):
+    r = correct(f, t)
+    return bf.EvenBinaryForm(r.a, r.b, -r.c)
+bf.apply_transform = broken
+try:
+    bf.reduce(bf.EvenBinaryForm(2, 3, 1))
+except AssertionError:
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = os.path.dirname(os.path.dirname(k3latt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from k3latt.binforms import genus_partition
 from k3latt.catalog import load_catalog
 from k3latt.discforms import FiniteQF, direct_sum, parse_form_literal
-from k3latt.lattice import determinant
+from k3latt.lattice import E8, K3_LATTICE, T_HESS, determinant, twist
 from util_oracles import (
     change_basis,
     exhaustive_genus_partition,
     exhaustive_isomorphic,
+    fraction_from_lattice,
     random_even_gram,
     scale_form,
     shear,
@@ -159,3 +160,28 @@ def test_genus_partition_matches_oracle():
     for d in range(3, 501):
         if d % 4 in (0, 3):
             assert genus_partition(d) == exhaustive_genus_partition(d), d
+
+
+def check_from_lattice(g) -> None:
+    f = FiniteQF.from_lattice(g)
+    ref = fraction_from_lattice(g)
+    assert (f.orders, f.q, f.b, f.literal()) == (ref.orders, ref.q, ref.b, ref.literal())
+    again = FiniteQF(f.orders, f.q, f.b)
+    assert again == f and hash(again) == hash(f)
+
+
+@SLOW
+@given(rank=st.integers(1, 6), seed=st.integers(0, 10**9))
+def test_from_lattice_matches_fraction_path(rank, seed):
+    # random_even_gram draws entries of both signs, so indefinite forms occur
+    check_from_lattice(random_even_gram(random.Random(seed), rank,
+                                        entry_bound=10 if rank < 4 else 6))
+
+
+def test_from_lattice_matches_fraction_path_on_named_lattices():
+    cat = load_catalog()
+    grams = [case.gram for fam in cat.families
+             for case in list(fam.singular) + ([fam.general] if fam.general else [])]
+    assert grams
+    for g in [K3_LATTICE, T_HESS, twist(E8, 2)] + grams:
+        check_from_lattice(g)

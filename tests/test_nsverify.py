@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from k3latt.lattice import DimensionMismatch, GramMatrix
+from k3latt.lattice import DimensionMismatch, GramMatrix, determinant, discriminant_group
 from k3latt.nsverify import (
     CurveConfig,
     InvalidConfig,
     check_divisible_class,
     generators_report,
 )
-from util_oracles import random_even_gram
+from util_oracles import closure_subgroup_order, random_even_gram
 
 
 def diag_config(*entries, names=None):
@@ -103,3 +106,30 @@ class TestGeneratorsReport:
         assert not rep.classes[0].in_dual
         assert rep.classes[1].in_dual
         assert rep.subgroup_order == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(1, 4), seed=st.integers(0, 10**9))
+def test_subgroup_order_matches_closure(rank, seed):
+    rng = random.Random(seed)
+    g = random_even_gram(rng, rank, entry_bound=6)
+    assume(abs(determinant(g)) <= 3000)
+    factors, gens = discriminant_group(g)
+    candidates = []
+    for _ in range(rng.randint(0, 3)):
+        v = [sum(rng.randrange(m) * gen[r] for m, gen in zip(factors, gens))
+             + rng.randint(-2, 2) for r in range(rank)]
+        n = lcm(*(x.denominator for x in v)) * rng.randint(1, 3)
+        candidates.append(([int(x * n) for x in v], n))
+    # usually outside the dual, and then left out of the span
+    candidates.append(([rng.randint(-3, 3) for _ in range(rank)], rng.randint(1, 5)))
+    cfg = CurveConfig(tuple(f"C{i}" for i in range(rank)), g)
+    assert (generators_report(cfg, candidates).subgroup_order
+            == closure_subgroup_order(g, candidates))
+
+
+def test_twenty_four_halved_curves():
+    rep = generators_report(diag_config(*[-2] * 24),
+                            [([int(i == j) for j in range(24)], 2) for i in range(24)])
+    assert rep.subgroup_order == 2 ** 24
+    assert rep.generates_full_group

@@ -3,14 +3,18 @@
 The SL2 search here is deliberately separate from the reduce-and-compare
 implementation it cross-checks: it enumerates every determinant-1 integer
 matrix with bounded entries and transforms the form coordinates directly.
-The discriminant-form oracle is the whole-group exhaustive isomorphism
-search that the prime-by-prime ``FiniteQF.is_isomorphic`` replaced.
+The discriminant-form oracles are the whole-group exhaustive isomorphism
+search that the prime-by-prime ``FiniteQF.is_isomorphic`` replaced, and
+the Fraction construction of a discriminant form from dual vectors that
+the integer ``FiniteQF.from_lattice`` replaced.  The subgroup oracle closes
+candidate classes under addition, as ``generators_report`` once did.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
@@ -19,7 +23,17 @@ import numpy as np
 
 from k3latt.binforms import EvenBinaryForm, UnimodularTransform, enumerate_reduced
 from k3latt.discforms import FiniteQF
-from k3latt.lattice import GramMatrix, determinant, smith_normal_form
+from k3latt.lattice import (
+    DegenerateLattice,
+    GramMatrix,
+    OddLattice,
+    determinant,
+    discriminant_group,
+    is_dual_vector,
+    pairing_modZ,
+    qnorm_mod2Z,
+    smith_normal_form,
+)
 
 
 @lru_cache(maxsize=None)
@@ -231,3 +245,47 @@ def exhaustive_genus_partition(d: int) -> list[list[EvenBinaryForm]]:
         else:
             groups.append([i])
     return [[forms[i] for i in g] for g in groups]
+
+
+# -- Fraction discriminant forms and subgroup closure ---------------------------
+
+def fraction_from_lattice(g: GramMatrix) -> FiniteQF:
+    """Discriminant form from the Fraction generators of ``discriminant_group``."""
+    if not g.is_even():
+        raise OddLattice("discriminant form requires an even lattice")
+    if determinant(g) == 0:
+        raise DegenerateLattice("discriminant form requires det != 0")
+    factors, gens = discriminant_group(g)
+    q = tuple(qnorm_mod2Z(g, v) for v in gens)
+    k = len(gens)
+    b = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        b[i][i] = q[i] % 1
+        for j in range(i + 1, k):
+            b[i][j] = b[j][i] = pairing_modZ(g, gens[i], gens[j])
+    return FiniteQF(tuple(factors), q, tuple(tuple(r) for r in b))
+
+
+def closure_subgroup_order(g: GramMatrix, candidates) -> int:
+    """Order of the subgroup of L^dual/L generated by the dual classes c/n.
+
+    Classes are vectors mod Z^rank; the subgroup is closed under addition
+    breadth first, so time and memory grow with its order.
+    """
+    def mod1(v):
+        return tuple(c % 1 for c in v)
+
+    gens = [mod1(tuple(Fraction(c, n) for c in coeffs)) for coeffs, n in candidates]
+    gens = [v for v in gens if is_dual_vector(g, v)]
+    seen = {tuple(Fraction(0) for _ in range(g.n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in gens:
+                x = mod1(tuple(a + c for a, c in zip(v, w)))
+                if x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return len(seen)
