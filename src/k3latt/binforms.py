@@ -191,36 +191,28 @@ def equivalent(f1: EvenBinaryForm, f2: EvenBinaryForm) -> UnimodularTransform | 
 def genus_partition(d: int) -> list[list[EvenBinaryForm]]:
     """Classes of discriminant d grouped by discriminant-form isomorphism.
 
-    Forms are bucketed by their discriminant form's genus_key; within a
-    bucket only the searched parts (the 2-part) still need a pairwise test.
-    Groups come in order of their first member, members in class order.
+    Forms are bucketed by their discriminant form's genus_key, which
+    decides isomorphism of discriminant forms of lattices (Jordan
+    invariants at odd primes, the canonical 2-adic symbol at 2), so a
+    bucket is a group.  Groups come in order of their first member,
+    members in class order.
     """
     forms = enumerate_reduced(d)
-    disc = [FiniteQF.from_lattice(f.gram) for f in forms]
-    buckets: dict[tuple, list[list[int]]] = {}
-    groups: list[list[int]] = []
-    for i, f in enumerate(disc):
-        bucket = buckets.setdefault(f.genus_key(), [])
-        for g in bucket:
-            if disc[g[0]].is_isomorphic(f):
-                g.append(i)
-                break
-        else:
-            bucket.append([i])
-            groups.append(bucket[-1])
-    return [[forms[i] for i in g] for g in groups]
+    groups: dict[tuple, list[EvenBinaryForm]] = {}
+    for f in forms:
+        groups.setdefault(FiniteQF.from_lattice(f.gram).genus_key(), []).append(f)
+    return list(groups.values())
 
 
 def match_disc_form(d: int, target: FiniteQF) -> list[EvenBinaryForm]:
-    """Reduced forms of discriminant d whose discriminant form matches target."""
-    forms = enumerate_reduced(d)
+    """Reduced forms of discriminant d whose discriminant form matches target.
+
+    A match is an equal genus_key.  That decides isomorphism here: the
+    forms of the lattices are nondegenerate, and a target with a degenerate
+    p-part keys that part apart from every nondegenerate one.
+    """
     key = target.genus_key()
-    out = []
-    for f in forms:
-        disc = FiniteQF.from_lattice(f.gram)
-        if disc.genus_key() == key and disc.is_isomorphic(target):
-            out.append(f)
-    return out
+    return [f for f in enumerate_reduced(d) if FiniteQF.from_lattice(f.gram).genus_key() == key]
 
 
 @dataclass(frozen=True)

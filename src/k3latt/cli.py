@@ -26,8 +26,10 @@ def _load_gram(arg: str) -> GramMatrix:
     """Inline `[..]` matrix, `-` for stdin, or a file in rank-then-rows format."""
     if arg.strip().startswith("["):
         return GramMatrix.from_rows(parse_bracket_matrix(arg))
-    text = sys.stdin.read() if arg == "-" else open(arg).read()
-    return parse_gram_text(text)
+    if arg == "-":
+        return parse_gram_text(sys.stdin.read())
+    with open(arg) as fh:
+        return parse_gram_text(fh.read())
 
 
 def _load_binary_form(arg: str) -> EvenBinaryForm:
@@ -169,7 +171,11 @@ def cmd_cm_moduli(args) -> int:
 
 
 def cmd_ns_check(args) -> int:
-    text = sys.stdin.read() if args.config == "-" else open(args.config).read()
+    if args.config == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.config) as fh:
+            text = fh.read()
     cfg, candidates = _parse_ns_config(text, args.rational_curves)
     report = nsverify.generators_report(cfg, candidates)
     payload = {

@@ -13,15 +13,20 @@ Theory", 2.4), so Q[i] = n V_i^T G V_i / D_i^2 and
 B[i][j] = n V_i^T G V_j / (D_i D_j) are integer dot products.
 
 Isomorphism is decided prime by prime.  The p-primary parts of a form are
-mutually orthogonal, so two forms are isomorphic iff their p-parts are.  At
-an odd prime q is determined by b, and a nondegenerate p-part is classified
-by its Jordan invariants: for each scale p^t, the rank of the homogeneous
-component and the Legendre symbol of its unit determinant (Wall, "Quadratic
-forms on finite groups", Topology 1963; Nikulin 1979, 1.8).  Only the
-2-part and degenerate odd parts are compared by exhaustive search over
-generator images.  A nondegenerate 2-part whose scales leave gaps of three
-or more is first replaced by a smaller model with those gaps shortened,
-which keeps the class of its 2-adic symbol (Conway-Sloane, SPLAG ch. 15).
+mutually orthogonal, so two forms are isomorphic iff their p-parts are.  Each
+p-part is split into Jordan pieces once (``_jordan``), with p^e, the exponent
+of the p-part, read off a single factorization of n.  At an odd prime q is
+determined by b, and a nondegenerate p-part is classified by its Jordan
+invariants: for each scale p^t, the rank of the homogeneous component and
+the Legendre symbol of its unit determinant (Wall, "Quadratic forms on
+finite groups", Topology 1963; Nikulin 1979, 1.8).  A nondegenerate 2-part
+is classified by its canonical 2-adic symbol: for each scale 2^t the rank,
+sign, type and oddity read off the pieces, made canonical by oddity fusion
+over compartments and sign walking along trains (Conway-Sloane, SPLAG
+ch. 15 sec. 7.3-7.6; ``_two_adic_symbol``).  So ``genus_key`` decides
+isomorphism of nondegenerate forms, every discriminant form of a lattice
+among them.  Only degenerate parts, which come from literal input such as
+``Z25(0)``, are compared by exhaustive search over generator images.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .lattice import (
     DimensionMismatch,
@@ -42,9 +47,9 @@ from .lattice import (
     smith_normal_form,
 )
 
-# Largest part that is_isomorphic searches exhaustively: a 2-part (or its
-# shortened model) or a degenerate odd part.  Nondegenerate odd parts are
-# compared by their Jordan invariants at any order and are not bounded.
+# Largest part that is_isomorphic searches exhaustively: a degenerate p-part.
+# Nondegenerate parts are compared by their Jordan invariants or 2-adic
+# symbol at any order and are not bounded.
 ISO_GROUP_BOUND = 100_000
 
 
@@ -53,7 +58,7 @@ class InvalidForm(ValueError):
 
 
 class TooLarge(ValueError):
-    """A part that must be searched exceeds ISO_GROUP_BOUND."""
+    """A degenerate p-part that must be searched exceeds ISO_GROUP_BOUND."""
 
 
 @dataclass(frozen=True, init=False)
@@ -283,89 +288,72 @@ class FiniteQF:
 
         Generator g_i of order m_i = p^a * c contributes c * g_i, of order p^a.
         """
-        n, data = self._primary_data()
-        return {p: _scaled_form(orders, qs, bs, n) for p, (orders, qs, bs) in data.items()}
+        return {p: FiniteQF._of(orders, p ** e, qs, bs)
+                for p, (e, orders, qs, bs) in self._primary_data().items()}
 
-    def _primary_data(self) -> tuple[int, dict[int, tuple]]:
-        """(N, {p: (orders, Q, B)}): the p-parts with q = Q / N and b = B / N.
+    def _primary_data(self) -> dict[int, tuple]:
+        """{p: (e, orders, Q, B)}: the p-part, with q = Q / p^e and b = B / p^e.
 
-        N is the exponent of the group, so every value is an integer.
+        p^e is the exponent of the p-part; the exponent n of the form is
+        factored once.
         """
         n, qint, bint = self.n, self.Q, self.B
-        facs = [_factorize(m) for m in self.orders]
         data = {}
-        for p in sorted({p for fac in facs for p in fac}):
-            idx = [i for i, fac in enumerate(facs) if p in fac]
-            cof = [self.orders[i] // p ** facs[i][p] for i in idx]
-            data[p] = (tuple(self.orders[i] // c for i, c in zip(idx, cof)),
-                       [c * c * qint[i] % (2 * n) for i, c in zip(idx, cof)],
-                       [[ci * cj * bint[i][j] % n for j, cj in zip(idx, cof)]
-                        for i, ci in zip(idx, cof)])
-        return n, data
+        for p, e in _factorize(n).items():
+            pe = p ** e
+            s = n // pe
+            gens = [(i, m // a, a) for i, m in enumerate(self.orders) if (a := gcd(m, pe)) > 1]
+            data[p] = (e, tuple(a for _, _, a in gens),
+                       [c * c * qint[i] % (2 * n) // s for i, c, _ in gens],
+                       [[ci * cj * bint[i][j] % n // s for j, cj, _ in gens]
+                        for i, ci, _ in gens])
+        return data
 
     @cached_property
     def _split(self) -> tuple[tuple, dict[int, "FiniteQF"]]:
-        """(invariants by prime, forms to search).
+        """(invariants of the nondegenerate p-parts, the degenerate p-parts).
 
-        The invariants are the Jordan invariants of each nondegenerate odd
-        part and the group structure of a 2-part that is searched through
-        its model.  A nondegenerate 2-part whose scales leave a gap to
-        shorten is searched through that smaller model (which does not keep
-        the group structure); every other 2-part, and a degenerate odd
-        part, is searched as it stands.
+        The invariants are the Jordan invariants of an odd part and the
+        canonical 2-adic symbol of the 2-part; they decide isomorphism.  A
+        p-part is degenerate when its Jordan pieces do not fill the group.
         """
-        n, data = self._primary_data()
         invariants, searched = [], {}
-        for p, (orders, qs, bs) in data.items():
-            pieces = (_jordan(p, orders, qs, bs, n)
-                      if p != 2 or _two_adic_shortens(orders) else None)
-            if pieces is None:
-                searched[p] = _scaled_form(orders, qs, bs, n)
+        for p, (e, orders, qs, bs) in self._primary_data().items():
+            pieces = _jordan(p, e, qs, bs)
+            if prod(p ** (t * len(norms)) for t, _, norms in pieces) != prod(orders):
+                searched[p] = FiniteQF._of(orders, p ** e, qs, bs)
             elif p == 2:
-                invariants.append((p, tuple(sorted(orders))))
-                searched[p] = _two_adic_model(pieces)
+                invariants.append((p, _two_adic_symbol(pieces)))
             else:
                 invariants.append((p, _odd_invariants(p, pieces)))
         return tuple(invariants), searched
 
     def genus_key(self) -> tuple:
-        """Hashable isomorphism invariant.
+        """Hashable isomorphism invariant: (decided, searched).
 
-        It holds the Jordan invariants of the nondegenerate odd parts, the
-        group structure of a 2-part searched through its model, and, for
-        each form that is_isomorphic searches (a 2-part or its model, a
-        degenerate odd part), the counts of (element order, q value) pairs,
-        or only its group structure when it exceeds ISO_GROUP_BOUND.
-        Isomorphic forms have equal keys; equal keys decide isomorphism
-        when no part needs a search.
+        ``decided`` holds, by prime, the invariants of each nondegenerate
+        p-part: the Jordan invariants (t, rank, Legendre symbol) of an odd
+        part and the canonical 2-adic symbol of the 2-part.  ``searched``
+        holds the group structure of each degenerate p-part.  Isomorphic
+        forms have equal keys, and for nondegenerate forms (every
+        discriminant form of a lattice) equal keys mean isomorphic.
         """
         invariants, searched = self._split
-        return invariants, tuple((p, part._value_counts()) for p, part in searched.items())
-
-    def _value_counts(self) -> tuple:
-        if self.group_order > ISO_GROUP_BOUND:
-            return tuple(sorted(_abelian_factors(self.orders).items()))
-        table, _ = self._scaled_tables(self.n)
-        return tuple(sorted(Counter(table.values()).items()))
+        return invariants, tuple((p, tuple(sorted(part.orders))) for p, part in searched.items())
 
     # -- isomorphism ----------------------------------------------------
 
     def is_isomorphic(self, other: "FiniteQF") -> bool:
         """Is there a group isomorphism carrying q to q?
 
-        Decided prime by prime: group orders, then the Jordan invariants of
-        the nondegenerate odd parts, then an exhaustive search on each
-        remaining part (the 2-part or its model, and any degenerate odd
-        part).
+        Decided prime by prime: nondegenerate p-parts by their invariants
+        (Jordan invariants at odd p, the canonical 2-adic symbol at p = 2),
+        degenerate p-parts by an exhaustive search.
         """
-        if self.group_order != other.group_order:
+        if self.genus_key() != other.genus_key():
             return False
-        invariants1, searched1 = self._split
-        invariants2, searched2 = other._split
-        if invariants1 != invariants2:
-            return False
-        return all(part._search_isomorphic(searched2[p])
-                   for p, part in searched1.items())
+        searched = other._split[1]
+        return all(part._search_isomorphic(searched[p]) for p, part in self._split[1].items())
 
     def _element_order(self, x: tuple[int, ...]) -> int:
         return lcm(*(m // gcd(m, xi) for m, xi in zip(self.orders, x))) if x else 1
@@ -410,19 +398,15 @@ class FiniteQF:
     def _search_isomorphic(self, other: "FiniteQF") -> bool:
         """Exhaustive search for an isomorphism carrying q to q.
 
-        It is enough to match q on generators and b on generator pairs:
-        bilinear expansion then transports q everywhere, and b is determined
-        by q.  Candidate images are pruned by element order and q value.
+        Both forms are p-parts with the same group structure, as their
+        genus keys say.  It is enough to match q on generators and b on
+        generator pairs: bilinear expansion then transports q everywhere,
+        and b is determined by q.  Candidate images are pruned by element
+        order and q value.
         """
-        if self.group_order != other.group_order:
-            return False
         if self.group_order > ISO_GROUP_BOUND:
             raise TooLarge(f"the part to search has order {self.group_order}, "
                            f"over the bound {ISO_GROUP_BOUND}")
-        if _abelian_factors(self.orders) != _abelian_factors(other.orders):
-            return False
-        if not self.orders:
-            return True
 
         scale = lcm(self.n, other.n)
         table1, bs1 = self._scaled_tables(scale)
@@ -502,128 +486,140 @@ def _numerator(v, n: int) -> int:
     return x.numerator
 
 
-def _scaled_form(orders, qs, bs, n: int) -> "FiniteQF":
-    """The form with q = qs / n and b = bs / n, stored over its own exponent."""
-    m = lcm(*orders)
-    s = n // m
-    return FiniteQF._of(orders, m, [v // s for v in qs], [[x // s for x in row] for row in bs])
-
-
-def _jordan(p: int, orders, qs, bs, top: int) -> list[tuple[int, tuple, tuple]] | None:
+def _jordan(p: int, e: int, qs, bs) -> list[tuple[int, tuple, tuple]]:
     """Orthogonal splitting of a p-group form into homogeneous pieces.
 
-    The form has generators of the given orders, q = qs / top (mod 2) and
-    b = bs / top (mod 1).  Each piece is (n, B, Q): n = p^a its exponent,
-    B[i][j] = n * b and Q[i] = n * q (mod 2n) on its one or two generators.
-    Each step splits off, at the exponent n of what remains, a generator y
-    with n * b(y, y) a unit, or at p = 2 failing that a pair v, w with
-    n * b(v, w) odd (at odd p the sum v + w then serves as y), and projects
-    the other generators onto the orthogonal complement.  No such piece
-    exists when (n/p) times the remainder lies in the radical, so None
-    means b is degenerate.
+    The form has q = qs / p^e (mod 2) and b = bs / p^e (mod 1) on its
+    generators.  Each piece is (t, B, Q) on one or two generators of order
+    p^t: B[i][j] = p^t * b and Q[i] = p^t * q (mod 2 p^t).  Each step takes
+    the largest p^t to which some generator pairs, and splits off a
+    generator y with p^t * b(y, y) a unit, or at p = 2 failing that a pair
+    v, w with p^t * b(v, w) odd (at odd p, v is replaced by v + w, which
+    then serves as y).  The other generators are projected onto the
+    orthogonal complement by updating their pairings and norms in place,
+    b(w', v) = b(w, v) - sum c_i b(x_i, v) and q(w') = q(w) - q(sum c_i x_i),
+    so each pairing is computed once per step.  The pieces fill the group
+    exactly when b is nondegenerate; otherwise what is left pairs to zero
+    with everything.
     """
-    k = len(orders)
-
-    def pair(x, y) -> int:
-        return sum(x[i] * bs[i][j] * y[j]
-                   for i in range(k) if x[i] for j in range(k) if y[j]) % top
-
-    def norm(x) -> int:
-        return (sum(x[i] * x[i] * qs[i] for i in range(k))
-                + 2 * sum(x[i] * x[j] * bs[i][j]
-                          for i in range(k) for j in range(i + 1, k))) % (2 * top)
-
-    def order(x) -> int:
-        return max(m // gcd(m, xi) for m, xi in zip(orders, x))
-
-    gens = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    top = p ** e
+    gram = [list(r) for r in bs]
+    norm = list(qs)
+    live = list(range(len(norm)))
     pieces = []
     while True:
-        gens = [w for w in gens if order(w) > 1]
-        if not gens:
+        s = gcd(top, *[gram[w][v] for w in live for v in live])
+        if s == top:  # what is left pairs to zero with everything
             return pieces
-        n = max(order(w) for w in gens)
-        s = top // n  # elements of order <= n pair to (multiples of s) / top
-        basis = next(([w] for w in gens if (pair(w, w) // s) % p), None)
+        n, t = top // s, 0
+        while p ** t < n:
+            t += 1
+        basis = next(([w] for w in live if gram[w][w] // s % p), None)
         if basis is None:
-            basis = next(([v, w] if p == 2 else [tuple(a + c for a, c in zip(v, w))]
-                          for i, v in enumerate(gens) for w in gens[i + 1:]
-                          if (pair(v, w) // s) % p), None)
-        if basis is None:
-            return None
-        gram = [[pair(x, y) // s for y in basis] for x in basis]
+            v, w = next((v, w) for i, v in enumerate(live) for w in live[i + 1:]
+                        if gram[v][w] // s % p)
+            if p == 2:
+                basis = [v, w]
+            else:
+                norm[v] = (norm[v] + norm[w] + 2 * gram[v][w]) % (2 * top)
+                for x in live:
+                    gram[v][x] = gram[x][v] = (gram[v][x] + gram[w][x]) % top
+                gram[v][v] = norm[v] % top
+                basis = [v]
+        gb = tuple(tuple(gram[x][y] // s for y in basis) for x in basis)
+        pieces.append((t, gb, tuple(norm[x] // s % (2 * n) for x in basis)))
+        live = [w for w in live if w not in basis]
+        if not live:
+            return pieces
         if len(basis) == 1:
-            inv = [[pow(gram[0][0], -1, n)]]
+            inv = [[pow(gb[0][0], -1, n)]]
         else:
-            (a, c), (_, d) = gram
-            e = pow(a * d - c * c, -1, n)
-            inv = [[d * e, -c * e], [-c * e, a * e]]
-        new = []
-        for w in gens:
-            bw = [pair(w, x) // s for x in basis]
-            coef = [sum(r[j] * bw[j] for j in range(len(basis))) % n for r in inv]
-            new.append(tuple((wi - sum(c * x[i] for c, x in zip(coef, basis))) % m
-                             for i, (wi, m) in enumerate(zip(w, orders))))
-        gens = new
-        pieces.append((n, tuple(map(tuple, gram)),
-                       tuple((norm(x) // s) % (2 * n) for x in basis)))
+            (a, c), (_, d) = gb
+            det = pow(a * d - c * c, -1, n)
+            inv = [[d * det, -c * det], [-c * det, a * det]]
+        coef = {}
+        for w in live:
+            c = coef[w] = [sum(r * gram[w][x] // s for r, x in zip(row, basis)) % n
+                           for row in inv]
+            y = sum(ci * ci * norm[x] for ci, x in zip(c, basis))
+            if len(basis) == 2:
+                y += 2 * c[0] * c[1] * gram[basis[0]][basis[1]]
+            norm[w] = (norm[w] - y) % (2 * top)
+        for i, w in enumerate(live):
+            for v in live[i:]:
+                gram[w][v] = gram[v][w] = (
+                    gram[w][v] - sum(ci * gram[x][v] for ci, x in zip(coef[w], basis))) % top
 
 
 def _odd_invariants(p: int, pieces) -> tuple[tuple[int, int, int], ...]:
     """(t, rank, Legendre symbol of the unit determinant) per scale p^t."""
-    blocks: dict[int, list[int]] = {}  # exponent -> [rank, unit determinant mod p]
-    for n, gram, _ in pieces:
-        blk = blocks.setdefault(n, [0, 1])
+    blocks: dict[int, list[int]] = {}  # t -> [rank, unit determinant mod p]
+    for t, gram, _ in pieces:
+        blk = blocks.setdefault(t, [0, 1])
         blk[0] += 1
         blk[1] = blk[1] * gram[0][0] % p
-    return tuple((_factorize(n)[p], rank, 1 if pow(det, (p - 1) // 2, p) == 1 else -1)
-                 for n, (rank, det) in sorted(blocks.items()))
+    return tuple((t, rank, 1 if pow(det, (p - 1) // 2, p) == 1 else -1)
+                 for t, (rank, det) in sorted(blocks.items()))
 
 
-def _two_adic_shortens(orders) -> bool:
-    """Would _two_adic_model shorten a scale gap for a 2-part of these orders?"""
-    exps = sorted({m.bit_length() - 1 for m in orders})
-    return any(b - a > 3 for a, b in zip([0] + exps, exps))
+def _two_adic_symbol(pieces) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Canonical 2-adic symbol of a nondegenerate 2-part split into ``pieces``.
 
+    One entry (t, rank, odd, sign, oddity) per scale 2^t (Conway-Sloane,
+    SPLAG ch. 15 sec. 7).  A piece <u / 2^t> is odd, with sign +1 when
+    u = +-1 mod 8 and oddity u; a block is even, with sign -1 for v_t (both
+    norms 2 mod 4) and +1 for u_t.  The component at 2^t is the unimodular
+    form of its pieces, and its (rank, odd, sign, oddity) are those of
+    the lattice component 2^t (that form)^-1 of a lattice with this
+    discriminant form.
 
-def _two_adic_model(pieces) -> FiniteQF:
-    """A small stand-in for a nondegenerate 2-part, split into ``pieces``.
-
-    Two 2-parts of the same group structure are isomorphic iff their models
-    are; the model alone does not keep the group structure.  Pieces become
-    <u / 2^k> (u mod 2^(k+1)) and the blocks u_k or v_k, which is the data
-    of the 2-adic symbol (Conway-Sloane, SPLAG ch. 15 sec. 7).  A gap of
-    three or more between consecutive scales, counting up from scale
-    1 = 2^0, is shortened to three: such a gap holds two empty (even)
-    constituents, so it already separates trains and compartments, and the
-    equivalences of 2-adic symbols never act across it.  For k >= 3 the
-    class of <u / 2^k> depends only on u mod 8, so the shorter scale keeps
-    it.
+    Two such symbols give isomorphic forms iff oddity fusion and sign
+    walking carry one to the other.  A compartment is a maximal run of
+    consecutive odd scales, and only its total oddity is kept, on its first
+    scale (0 on the others).  A train is a maximal run of scales in which
+    no two neighbours are both even (an empty scale counts as even).
+    Walking flips the signs at two scales of one train and adds 4 to the
+    oddity of the compartment met at each step between neighbours.  Every
+    sign is walked down to the first nonempty scale of its train.  Scale
+    2^0 is an even component of any rank that a discriminant form does not
+    see, so the train that holds it (and 2^1 too when 2^1 is odd)
+    absorbs every sign: <1/2> and <5/2>, one form, read as sign +1,
+    oddity 1 and sign -1, oddity 5.
     """
-    scale: dict[int, int] = {}
-    old = new = 1
-    for n in sorted({n for n, _, _ in pieces}):
-        new <<= min(n.bit_length() - old.bit_length(), 3)
-        scale[n], old = new, n
-    top = new
-    orders: list[int] = []
-    qs: list[int] = []
-    blocks: list[tuple[int, int]] = []  # (first generator, top / m)
-    for n, _, norms in pieces:
-        m = scale[n]
-        s = top // m
+    comps: dict[int, list[int]] = {}  # t -> [rank, sign, odd, oddity]
+    for t, _, norms in pieces:
+        c = comps.setdefault(t, [0, 1, 0, 0])
+        c[0] += len(norms)
         if len(norms) == 1:
-            orders.append(m)
-            qs.append(norms[0] * s)
-        else:  # v_k when both norms are 2 * odd, else the hyperbolic u_k
-            v = (norms[0] // 2) % 2 and (norms[1] // 2) % 2
-            blocks.append((len(orders), s))
-            orders += [m, m]
-            qs += [2 * v * s] * 2
-    bs = [[qs[i] if i == j else 0 for j in range(len(orders))] for i in range(len(orders))]
-    for i, s in blocks:
-        bs[i][i + 1] = bs[i + 1][i] = s
-    return FiniteQF._of(orders, top, qs, bs)
+            u = norms[0] % 8
+            c[1] *= 1 if u in (1, 7) else -1
+            c[2] = 1
+            c[3] += u
+        elif norms[0] & norms[1] & 2:
+            c[1] = -c[1]
+    comp: dict[int, int] = {}  # odd scale -> first scale of its compartment
+    for t in sorted(t for t, c in comps.items() if c[2]):
+        comp[t] = comp.get(t - 1, t)
+    oddity = dict.fromkeys(comp.values(), 0)
+    for t, first in comp.items():
+        oddity[first] += comps[t][3]
+    sink: int | None = 0  # the scale that takes the signs of the current train
+    for t in range(1, max(comps) + 1):
+        if t - 1 not in comp and t not in comp:
+            sink = None
+        if t not in comps:
+            continue
+        if sink is None:
+            sink = t
+        elif comps[t][1] < 0:
+            comps[t][1] = 1
+            if sink:
+                comps[sink][1] *= -1
+            for m in range(sink + 1, t + 1):  # the step between m - 1 and m
+                first = comp[m] if m in comp else comp[m - 1]
+                oddity[first] += 4
+    return tuple((t, rank, odd, sign, oddity.get(t, 0) % 8)
+                 for t, (rank, sign, odd, _) in sorted(comps.items()))
 
 
 def _factorize(m: int) -> dict[int, int]:
@@ -637,15 +633,6 @@ def _factorize(m: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if m > 1:
         out[m] = out.get(m, 0) + 1
-    return out
-
-
-def _abelian_factors(orders) -> dict[int, int]:
-    """Multiset of prime-power cyclic factors of a product of cyclic groups."""
-    out: dict[int, int] = {}
-    for m in orders:
-        for p, e in _factorize(m).items():
-            out[p ** e] = out.get(p ** e, 0) + 1
     return out
 
 

@@ -74,7 +74,7 @@ class TestQueries:
         assert code in (0, 1) and "bound" not in err
 
     def test_match_large_two_part(self, capsys):
-        # the 2-part Z2 + Z65536 is searched through a model of order 32
+        # the 2-part Z2 + Z65536 is decided by its 2-adic symbol
         code, out, _ = run(capsys, "match", "131072", "Z2(1/2)+Z65536(1/65536)")
         assert code == 0 and "[2 0; 0 65536]" in out.splitlines()
 
@@ -175,3 +175,18 @@ def test_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, k3latt; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_file_commands_close_their_files(tmp_path):
+    # -X dev reports a file left for the garbage collector as a ResourceWarning
+    gram = tmp_path / "t0.gram"
+    gram.write_text("3\n4 1 0\n1 4 0\n0 0 -2\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("M1 M2 M3\n-2 0 0\n0 -2 0\n0 0 -2\n1 1 1 / 2\n")
+    src = os.path.dirname(os.path.dirname(k3latt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (["discform", str(gram)], ["ns-check", str(cfg), "--rational-curves"]):
+        res = subprocess.run([sys.executable, "-X", "dev", "-m", "k3latt.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert "ResourceWarning" not in res.stderr

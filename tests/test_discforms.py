@@ -180,8 +180,10 @@ class TestIsIsomorphic:
         assert not plain.is_isomorphic(paired)
 
     def test_odd_jordan_invariants(self):
+        # the 2-part Z2(1/2) contributes its 2-adic symbol: scale 2^1,
+        # rank 1, odd, sign +1, oddity 1
         assert parse_form_literal("Z30(23/30)").genus_key()[0] == (
-            (3, ((1, 1, -1),)), (5, ((1, 1, -1),)))
+            (2, ((1, 1, 1, 1, 1),)), (3, ((1, 1, -1),)), (5, ((1, 1, -1),)))
         # rank 2 at p = 3: only the Legendre symbol of the determinant counts
         a = parse_form_literal("Z3(2/3)+Z3(2/3)")
         assert a.is_isomorphic(parse_form_literal("Z3(4/3)+Z3(4/3)"))

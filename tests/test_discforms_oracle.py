@@ -1,16 +1,18 @@
 """Prime-by-prime isomorphism against the whole-group exhaustive search."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd, prod
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from k3latt.binforms import genus_partition
+from k3latt.binforms import genus_partition, match_disc_form
 from k3latt.catalog import load_catalog
 from k3latt.discforms import FiniteQF, direct_sum, parse_form_literal
-from k3latt.lattice import E8, K3_LATTICE, T_HESS, determinant, twist
+from k3latt.lattice import A2, E8, K3_LATTICE, T_HESS, U, determinant, twist
+from k3latt.lattice import direct_sum as lattice_sum
 from util_oracles import (
     change_basis,
     exhaustive_genus_partition,
@@ -116,7 +118,6 @@ def two_adic_piece(rng: random.Random, k: int, block: bool) -> FiniteQF:
 @given(shape=st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=1, max_size=3),
        seed=st.integers(0, 10**9))
 def test_two_adic_forms(shape, seed):
-    # scale gaps of 3 and more are shortened in the searched model
     rng = random.Random(seed)
     f = direct_sum(*(two_adic_piece(rng, k, block) for k, block in shape))
     assume(f.group_order <= 1024)
@@ -128,6 +129,57 @@ def test_two_adic_forms(shape, seed):
     g = direct_sum(*(two_adic_piece(rng, k, block) for k, block in shape))
     check_against_oracle(f, random_shears(g, rng))
     assert check_against_oracle(f, random_shears(f, rng))
+
+
+@SLOW
+@given(shape=st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1, max_size=5),
+       seed=st.integers(0, 10**9))
+def test_two_adic_key_decides(shape, seed):
+    # nondegenerate 2-adic forms, scales up to 2^12 with gaps of any size
+    rng = random.Random(seed)
+    f = direct_sum(*(two_adic_piece(rng, k, block) for k, block in shape))
+    assume(f.group_order <= 4096)
+    # g has the same group; a block may become two cyclic pieces of its scale
+    g = direct_sum(*(two_adic_piece(rng, k, block) if block and rng.random() < 0.7
+                     else direct_sum(*(two_adic_piece(rng, k, False)
+                                       for _ in range(1 + block)))
+                     for k, block in shape))
+    g = random_shears(g, rng)
+    assert (f.genus_key() == g.genus_key()) == exhaustive_isomorphic(f, g)
+    assert f.genus_key() == random_shears(f, rng).genus_key()
+
+
+def test_e8_twists_are_decided_by_the_symbol():
+    # E8 and U^4 are both even unimodular of determinant 1 over Z_2, while
+    # U^3 + A2 has determinant -3: another sign in the 2-adic symbol
+    for k in range(1, 5):
+        m = 2 ** k
+        for other, expected in ((twist(lattice_sum(U, U, U, U), m), True),
+                                (twist(lattice_sum(U, U, U, A2), m), False)):
+            start = time.process_time()
+            e8 = FiniteQF.from_lattice(twist(E8, m))
+            two_part = FiniteQF.from_lattice(other).primary_parts()[2]
+            assert e8.is_isomorphic(two_part) == expected, (k, expected)
+            assert time.process_time() - start < 0.1, k
+
+
+def test_lattice_forms_need_no_search(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError(f"searched {self} against {other}")
+
+    monkeypatch.setattr(FiniteQF, "_search_isomorphic", refuse)
+    rng = random.Random(7)
+    big = [d for d in rng.sample(range(10**5, 2 * 10**5), 40) if d % 4 in (0, 3)][:10]
+    assert len(big) == 10
+    for d in [d for d in range(3, 2001) if d % 4 in (0, 3)] + big:
+        genus_partition(d)
+    for f in catalog_forms():
+        if f.group_order % 4 in (0, 3):
+            match_disc_form(f.group_order, f)
+    for fam in load_catalog().families:
+        for case in fam.singular:
+            if case.ns_form is not None:
+                assert len(match_disc_form(case.d, case.ns_form.negate())) == 1
 
 
 def catalog_forms() -> list[FiniteQF]:
