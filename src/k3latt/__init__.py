@@ -37,6 +37,7 @@ from .binforms import (
     CMSurd,
     EmptyResult,
     EvenBinaryForm,
+    MathFailure,
     UnimodularTransform,
     apply_transform,
     class_number,

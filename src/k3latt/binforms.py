@@ -12,15 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .discforms import FiniteQF
+from .discforms import FiniteQF, InvalidForm
 from .lattice import GramMatrix
 
 
-class InvalidForm(ValueError):
-    """Not a positive-definite even binary form."""
+class MathFailure(ValueError):
+    """A well-posed question whose answer is a failure: no form, no match, no
+    unique match.  The CLI exits 1 on it and 2 on any other ValueError."""
 
 
-class EmptyResult(ValueError):
+class EmptyResult(MathFailure):
     """No even form exists: d must be 0 or 3 mod 4."""
 
 

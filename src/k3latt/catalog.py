@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import Optional
 
-from .binforms import EvenBinaryForm, hessian_embeddable, reduce as reduce_form
+from .binforms import EvenBinaryForm, MathFailure, hessian_embeddable, reduce as reduce_form
 from .discforms import FiniteQF, parse_form_literal
 from .lattice import GramMatrix, U, determinant, direct_sum
-from .rank3 import Ambiguous, NoMatch, Rank3Candidate, transcendental_of_singular, verify_candidate
+from .rank3 import Rank3Candidate, transcendental_of_singular, verify_candidate
 from .ternary import is_simple_shioda_inose
 
 
@@ -58,7 +58,7 @@ class Catalog:
         for fam in self.families:
             if fam.name == name:
                 return fam
-        raise KeyError(name)
+        raise CatalogError(f"catalog has no family {name!r}")
 
     def rank2_matrices(self) -> list[tuple[str, str, EvenBinaryForm]]:
         out = []
@@ -76,33 +76,37 @@ def _parse_form(data) -> FiniteQF:
 
 
 class CatalogError(ValueError):
-    """A catalog record lacks a required key."""
+    """A catalog file or record is malformed: a missing key or a wrong value."""
 
 
 @contextmanager
 def _record(where: str):
-    """Turn a KeyError inside one catalog record into a CatalogError naming it."""
+    """Turn any error in reading one part of the catalog into a CatalogError naming it."""
     try:
         yield
     except KeyError as exc:
         raise CatalogError(f"catalog {where}: missing key {exc.args[0]!r}") from None
+    except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
+        raise CatalogError(f"catalog {where}: {type(exc).__name__}: {exc}") from None
 
 
 def load_catalog(path: Optional[str] = None) -> Catalog:
-    if path is None:
-        raw = json.loads(files("k3latt").joinpath("data/families.json").read_text())
-    else:
-        with open(path) as fh:
-            raw = json.load(fh)
     with _record("file"):
-        records = raw["families"]
+        if path is None:
+            raw = json.loads(files("k3latt").joinpath("data/families.json").read_text())
+        else:
+            with open(path) as fh:
+                raw = json.load(fh)
+        records = list(raw["families"])
+        ids = tuple(raw.get("extremal_ids", {}).get("ids", ()))
     fams = []
     for n, rec in enumerate(records):
         with _record(f"family #{n + 1}"):
-            name, rows = rec["name"], rec["singular"]
+            name, rows = rec["name"], list(rec["singular"])
+            g, display = rec.get("general"), rec.get("display", name)
+            extremal = rec.get("extremal", False)
         general = None
-        if rec.get("general"):
-            g = rec["general"]
+        if g:
             with _record(f"family {name}, case general"):
                 general = GeneralCase(
                     gram=GramMatrix.from_rows(g["matrix"]),
@@ -114,7 +118,8 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
                 )
         cases = []
         for k, c in enumerate(rows):
-            with _record(f"family {name}, case {c.get('case', f'#{k + 1}')}"):
+            label = c.get("case", f"#{k + 1}") if isinstance(c, dict) else f"#{k + 1}"
+            with _record(f"family {name}, case {label}"):
                 cases.append(SingularCase(
                     case=c["case"],
                     gram=GramMatrix.from_rows(c["matrix"]),
@@ -123,9 +128,7 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
                     derivation=c.get("derivation"),
                     note=c.get("note"),
                 ))
-        fams.append(FamilyRecord(name, rec.get("display", name),
-                                 general, tuple(cases), rec.get("extremal", False)))
-    ids = tuple(raw.get("extremal_ids", {}).get("ids", ()))
+        fams.append(FamilyRecord(name, display, general, tuple(cases), extremal))
     return Catalog(tuple(fams), ids)
 
 
@@ -207,7 +210,7 @@ def repro_table1(catalog: Optional[Catalog] = None) -> Report:
             stored = reduce_form(EvenBinaryForm.from_matrix(case.gram.rows))[0]
             try:
                 derived = transcendental_of_singular(case.d, case.ns_form)
-            except (NoMatch, Ambiguous) as exc:
+            except MathFailure as exc:
                 rows.append(ReportRow(fam.name, case.case, "derivation", False, str(exc)))
                 continue
             ok = derived == stored
@@ -222,6 +225,8 @@ def repro_section4(catalog: Optional[Catalog] = None) -> Report:
     rows: list[ReportRow] = []
     for name in ("TxV", "OxT"):
         fam = cat.family(name)
+        if fam.general is None:
+            raise CatalogError(f"catalog family {name} has no general lattice")
         verdict = is_simple_shioda_inose(fam.general.gram)
         ok = verdict.kind == "obstruction"
         detail = (f"obstruction at p={verdict.prime}, e={verdict.precision}"

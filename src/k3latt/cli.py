@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success / all checks pass, 1 mathematical failure (no match,
-non-equivalence, failed reproduction), 2 usage or input errors.
+Exit codes: 0 success / all checks pass; 1 a mathematical failure (a
+``MathFailure`` such as no match, a non-equivalence, a failed reproduction
+or an inconclusive verdict); 2 an input error or a declared limit
+(``TooLarge``, ``SearchTooLarge``).  The ``--primes`` of ``isotropy`` and
+``simple`` must be primes.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import json
 import sys
 
 from . import binforms, catalog, discforms, nsverify, rank3, ternary
-from .binforms import EvenBinaryForm
+from .binforms import EvenBinaryForm, MathFailure
 from .formats import (
     format_bracket_matrix,
     parse_bracket_matrix,
@@ -20,6 +23,8 @@ from .formats import (
 from .lattice import GramMatrix
 
 PASS, MATH_FAIL, USAGE = 0, 1, 2
+PRIMES_HELP = ("comma-separated primes to test for a local obstruction, in order "
+               "(default: the odd primes dividing 2*det, largest first)")
 
 
 def _load_gram(arg: str) -> GramMatrix:
@@ -260,12 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("isotropy", cmd_isotropy, "integer zero or local obstruction of a ternary form")
     p.add_argument("gram")
     p.add_argument("--bound", type=int, default=ternary.DEFAULT_BOUND)
-    p.add_argument("--primes", default=None, help="comma-separated prime list")
+    p.add_argument("--primes", default=None, help=PRIMES_HELP)
 
     p = add("simple", cmd_simple, "simple Shioda-Inose test for a rank-3 lattice")
     p.add_argument("gram")
     p.add_argument("--bound", type=int, default=ternary.DEFAULT_BOUND)
-    p.add_argument("--primes", default=None)
+    p.add_argument("--primes", default=None, help=PRIMES_HELP)
 
     p = add("hessian", cmd_hessian, "Hessian-lattice embeddability of a rank-2 form")
     p.add_argument("form")
@@ -295,9 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (binforms.EmptyResult, rank3.NoMatch, rank3.Ambiguous)):
-            return MATH_FAIL
-        return USAGE
+        return MATH_FAIL if isinstance(exc, MathFailure) else USAGE
 
 
 if __name__ == "__main__":

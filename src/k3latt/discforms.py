@@ -39,6 +39,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 
+from .arith import factorize
 from .lattice import (
     DimensionMismatch,
     GramMatrix,
@@ -54,7 +55,7 @@ ISO_GROUP_BOUND = 100_000
 
 
 class InvalidForm(ValueError):
-    """Presentation violates the finite-quadratic-form axioms."""
+    """Not a valid finite quadratic form, or not a positive-definite even binary form."""
 
 
 class TooLarge(ValueError):
@@ -299,7 +300,7 @@ class FiniteQF:
         """
         n, qint, bint = self.n, self.Q, self.B
         data = {}
-        for p, e in _factorize(n).items():
+        for p, e in factorize(n).items():
             pe = p ** e
             s = n // pe
             gens = [(i, m // a, a) for i, m in enumerate(self.orders) if (a := gcd(m, pe)) > 1]
@@ -622,20 +623,6 @@ def _two_adic_symbol(pieces) -> tuple[tuple[int, int, int, int, int], ...]:
                  for t, (rank, sign, odd, _) in sorted(comps.items()))
 
 
-def _factorize(m: int) -> dict[int, int]:
-    """Prime factorization {p: e} of m >= 1, by trial division."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def direct_sum(*forms: FiniteQF) -> FiniteQF:
     total = FiniteQF.trivial()
     for f in forms:
@@ -657,7 +644,10 @@ def parse_form_literal(text: str) -> FiniteQF:
     for p in parts:
         m = _TOKEN.match(p)
         if not m:
-            raise ValueError(f"bad finite-form token {p!r}")
+            raise InvalidForm(f"bad finite-form token {p!r}")
         orders.append(int(m.group(1)))
-        qvals.append(Fraction(m.group(2)))
+        try:
+            qvals.append(Fraction(m.group(2)))
+        except ZeroDivisionError:
+            raise InvalidForm(f"zero denominator in {p!r}") from None
     return FiniteQF.from_generators(orders, qvals)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binforms import EvenBinaryForm, match_disc_form
+from .binforms import EvenBinaryForm, MathFailure, match_disc_form
 from .discforms import FiniteQF
 from .lattice import GramMatrix, determinant, signature
 
@@ -20,11 +20,11 @@ class ZeroDiscriminant(ValueError):
     """Smallness is undefined for d == 0."""
 
 
-class NoMatch(ValueError):
+class NoMatch(MathFailure):
     """No reduced form of the given discriminant has the target form."""
 
 
-class Ambiguous(ValueError):
+class Ambiguous(MathFailure):
     """Several classes share the target form: the genus is not a singleton."""
 
 

@@ -11,17 +11,19 @@ primes are both exhausted it answers "inconclusive".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import isqrt
 from typing import Optional, Sequence
 
+from .arith import factorize
 from .lattice import DegenerateLattice, GramMatrix, determinant, signature, twist
 
 DEFAULT_BOUND = 20
-DEFAULT_BUDGET = 500_000_000
+BUDGET = 500_000_000  # largest modular search, in cells, that local_obstruction runs
 
 
 class SearchTooLarge(ValueError):
-    """The modular search would exceed the work budget."""
+    """The modular search would exceed BUDGET."""
 
 
 class WrongSignature(ValueError):
@@ -126,22 +128,24 @@ def _split_axis(g: GramMatrix) -> Optional[int]:
     return None
 
 
-def local_obstruction(f: TernaryForm, p: int, e: int,
-                      budget: int = DEFAULT_BUDGET) -> bool:
+def local_obstruction(f: TernaryForm, p: int, e: int) -> bool:
     """True iff no primitive solution of v^T G v == 0 mod p^e exists.
 
     Primitive means some coordinate is not divisible by p.  When one axis
     splits off orthogonally the search collects the residue classes attained
     by the rank-2 block once and then sweeps the remaining coordinate, which
-    is quadratic instead of cubic in p^e.
+    is quadratic instead of cubic in p^e.  The size check comes before the
+    primality check, so a huge p is refused at no cost.
     """
     if p < 2 or e < 1:
         raise ValueError("need a prime p and precision e >= 1")
     m = p ** e
     axis = _split_axis(f.gram)
     work = m * m if axis is not None else m * m * m
-    if work > budget:
-        raise SearchTooLarge(f"modular search size {work} exceeds budget {budget}")
+    if work > BUDGET:
+        raise SearchTooLarge(f"modular search size {work} exceeds budget {BUDGET}")
+    if factorize(p) != {p: 1}:
+        raise ValueError(f"{p} is not a prime")
     import numpy as np  # only this search uses numpy, so `import k3latt` stays light
 
     if axis is not None:
@@ -186,35 +190,8 @@ def local_obstruction(f: TernaryForm, p: int, e: int,
     return True
 
 
-def _odd_prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    while n % 2 == 0:
-        n //= 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _valuation(n: int, p: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def decide_isotropy(f: TernaryForm, bound: int = DEFAULT_BOUND,
-                    primes: Sequence[int] | None = None,
-                    budget: int = DEFAULT_BUDGET) -> IsotropyVerdict:
+                    primes: Sequence[int] | None = None) -> IsotropyVerdict:
     """Witness search, then local obstructions, else inconclusive.
 
     Default primes are the odd primes dividing 2*det, largest first, each at
@@ -225,19 +202,19 @@ def decide_isotropy(f: TernaryForm, bound: int = DEFAULT_BOUND,
     if w is not None:
         return IsotropyVerdict("witness", witness=w)
     det2 = 2 * abs(determinant(f.gram))
-    plist = list(primes) if primes is not None else sorted(_odd_prime_factors(det2), reverse=True)
+    if primes is None:
+        primes = sorted(factorize(det2).keys() - {2}, reverse=True)
     tried = []
-    for p in plist:
-        e = 3 + _valuation(det2, p)
+    for p in primes:
+        e = 3 + (next(k for k in count() if det2 % p ** (k + 1)) if p >= 2 else 0)
         tried.append(p)
-        if local_obstruction(f, p, e, budget=budget):
+        if local_obstruction(f, p, e):
             return IsotropyVerdict("obstruction", prime=p, precision=e)
     return IsotropyVerdict("inconclusive", bound=bound, primes_tested=tuple(tried))
 
 
 def is_simple_shioda_inose(t: GramMatrix, bound: int = DEFAULT_BOUND,
-                           primes: Sequence[int] | None = None,
-                           budget: int = DEFAULT_BUDGET) -> IsotropyVerdict:
+                           primes: Sequence[int] | None = None) -> IsotropyVerdict:
     """Isotropy verdict for the sign-flipped lattice T(-1).
 
     T(-1) plays the role of the Neron-Severi lattice of the associated
@@ -246,5 +223,4 @@ def is_simple_shioda_inose(t: GramMatrix, bound: int = DEFAULT_BOUND,
     """
     if signature(t) != (2, 1):
         raise WrongSignature("simple Shioda-Inose test needs signature (2,1)")
-    return decide_isotropy(TernaryForm(twist(t, -1)), bound=bound,
-                           primes=primes, budget=budget)
+    return decide_isotropy(TernaryForm(twist(t, -1)), bound=bound, primes=primes)

@@ -11,6 +11,7 @@ from k3latt.binforms import (
     EmptyResult,
     EvenBinaryForm,
     InvalidForm,
+    MathFailure,
     UnimodularTransform,
     apply_transform,
     class_number,
@@ -22,7 +23,9 @@ from k3latt.binforms import (
     match_disc_form,
     reduce,
 )
+from k3latt import discforms
 from k3latt.discforms import FiniteQF, parse_form_literal
+from k3latt.rank3 import Ambiguous, NoMatch
 from util_oracles import brute_force_equivalent, random_posdef_form, random_sl2
 
 
@@ -284,3 +287,11 @@ sys.exit(1)
     src = os.path.dirname(os.path.dirname(k3latt.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+def test_one_math_failure_base():
+    assert InvalidForm is discforms.InvalidForm
+    assert not issubclass(InvalidForm, MathFailure)
+    assert issubclass(MathFailure, ValueError)
+    for cls in (EmptyResult, NoMatch, Ambiguous):
+        assert issubclass(cls, MathFailure)

@@ -9,11 +9,31 @@ import k3latt
 from k3latt.catalog import CatalogError
 from k3latt.cli import main
 
+SRC = os.path.dirname(os.path.dirname(k3latt.__file__))
+NS0_GRAM = "[-4 -1 0; -1 -4 0; 0 0 2]"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def subprocess_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+
+
+def run_subprocess(*argv, timeout=10):
+    """The CLI in a fresh interpreter, so that a hang fails the test instead of the suite."""
+    return subprocess.run([sys.executable, "-m", "k3latt.cli", *argv], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def assert_usage_error(res, prefix="error: "):
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), res.stderr
 
 
 class TestEnumerate:
@@ -110,6 +130,11 @@ class TestIsotropyCommands:
         code, out, _ = run(capsys, "simple", "[0 1 0; 1 0 0; 0 0 2]")
         assert code == 0 and out.strip() == "simple: false"
 
+    @pytest.mark.parametrize("primes", ["0", "1", "-1", "25"])
+    def test_primes_must_be_primes(self, primes):
+        # at p = 1 and p = -1 the valuation used to loop forever, at p = 0 it divided by zero
+        assert_usage_error(run_subprocess("isotropy", NS0_GRAM, f"--primes={primes}"))
+
     def test_primes_flag(self, capsys):
         code, out, _ = run(capsys, "isotropy", "[-4 -1 0; -1 -4 0; 0 0 2]",
                            "--primes", "3", "--json")
@@ -156,6 +181,23 @@ class TestRepro:
         assert err.startswith("error: ") and "F" in err and "'d'" in err
         assert issubclass(CatalogError, ValueError)
 
+    @pytest.mark.parametrize("data", [
+        {"families": [{"name": "F", "singular": [{"case": "1", "matrix": 5, "d": 3}]}]},
+        {"families": [{"name": "F", "singular": [
+            {"case": "1", "matrix": [[2, 1], [1, 2]], "d": None}]}]},
+        {"families": 5},
+        [{"name": "F", "singular": []}],
+        {"families": [{"name": "F", "singular": [
+            {"case": "1", "matrix": [[2, 1], [1, 2]], "d": 3, "ns_form": [1]}]}]},
+        {"families": [{"name": "F", "singular": [5]}]},
+    ], ids=["matrix-int", "d-null", "families-int", "top-level-list", "ns-form-list",
+            "case-not-dict"])
+    def test_malformed_catalog_is_usage_error(self, tmp_path, data):
+        p = tmp_path / "cat.json"
+        p.write_text(json.dumps(data))
+        assert_usage_error(run_subprocess("repro", "table1", "--data", str(p)),
+                           prefix="error: catalog ")
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -169,10 +211,12 @@ class TestUsageErrors:
         code, _, err = run(capsys, "discform", "/nonexistent/path.gram")
         assert code == 2
 
+    def test_zero_denominator_literal(self):
+        assert_usage_error(run_subprocess("match", "60", "Z2(1/0)"))
+
 
 def test_import_does_not_load_numpy():
-    src = os.path.dirname(os.path.dirname(k3latt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = subprocess_env()
     code = "import sys, k3latt; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -183,8 +227,7 @@ def test_file_commands_close_their_files(tmp_path):
     gram.write_text("3\n4 1 0\n1 4 0\n0 0 -2\n")
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("M1 M2 M3\n-2 0 0\n0 -2 0\n0 0 -2\n1 1 1 / 2\n")
-    src = os.path.dirname(os.path.dirname(k3latt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = subprocess_env()
     for argv in (["discform", str(gram)], ["ns-check", str(cfg), "--rational-curves"]):
         res = subprocess.run([sys.executable, "-X", "dev", "-m", "k3latt.cli", *argv],
                              env=env, capture_output=True, text=True)

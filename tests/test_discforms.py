@@ -32,6 +32,11 @@ class TestConstruction:
     def test_trivial(self):
         assert parse_form_literal("trivial").orders == ()
 
+    @pytest.mark.parametrize("text", ["Z2(1/0)", "Z0(1/2)", "Z1(0)", "Z2(1/0)+Z3(2/3)"])
+    def test_literal_rejects_zero_orders_and_denominators(self, text):
+        with pytest.raises(InvalidForm):
+            parse_form_literal(text)
+
     def test_rejects_bad_q(self):
         # q = 1/3 on Z_2 fails q(2g) = 0 mod 2Z
         with pytest.raises(InvalidForm):

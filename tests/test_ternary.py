@@ -112,8 +112,18 @@ class TestLocalObstruction:
                 local_obstruction(TernaryForm(mixed), p, e)
 
     def test_budget(self):
+        # split axis: 7^6 squared is 7^12 cells, over the 5*10^8 budget
         with pytest.raises(SearchTooLarge):
-            local_obstruction(NS1, 7, 4, budget=1000)
+            local_obstruction(NS1, 7, 6)
+
+    @pytest.mark.parametrize("p", [-1, 0, 1, 25])
+    def test_rejects_non_primes(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            local_obstruction(NS0, p, 3)
+
+    def test_huge_p_is_refused_by_size(self):
+        with pytest.raises(SearchTooLarge):
+            local_obstruction(NS0, 10 ** 40, 3)
 
 
 class TestDecideIsotropy:
@@ -135,6 +145,13 @@ class TestDecideIsotropy:
     def test_explicit_primes(self):
         v = decide_isotropy(NS0, primes=[3])
         assert (v.kind, v.prime) == ("obstruction", 3)
+
+    def test_explicit_primes_do_not_factor_det(self):
+        # det = -(2^61 - 1) is prime, which trial division would take minutes to find
+        f = diag(-1, -1, -(2 ** 61 - 1))
+        assert decide_isotropy(f, primes=[3]).primes_tested == (3,)
+        with pytest.raises(SearchTooLarge):
+            decide_isotropy(f, primes=[2 ** 61 - 1])
 
     def test_inconclusive(self):
         # x^2 + y^2 - 3z^2 has no small witness and no obstruction at 5
