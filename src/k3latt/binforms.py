@@ -4,7 +4,9 @@ A form (a, b, c) stands for the matrix (2a c; c 2b) with discriminant
 d = 4ab - c^2 > 0.  Reduction is classical Gauss reduction; enumeration
 emits exactly one representative per SL2(Z)-class, absorbing the two
 boundary identifications (c == -a and a == b with c < 0) into a canonical
-sign choice c >= 0 there.
+sign choice c >= 0 there.  The lattice and discriminant-form modules are
+imported by the functions that use them, so reduction and enumeration load
+neither.
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .discforms import FiniteQF, InvalidForm
-from .lattice import GramMatrix
-
-
-class MathFailure(ValueError):
-    """A well-posed question whose answer is a failure: no form, no match, no
-    unique match.  The CLI exits 1 on it and 2 on any other ValueError."""
+from .errors import InvalidForm, MathFailure
 
 
 class EmptyResult(MathFailure):
@@ -47,6 +43,7 @@ class EvenBinaryForm:
 
     @property
     def gram(self) -> GramMatrix:
+        from .lattice import GramMatrix
         return GramMatrix.from_rows(self.matrix)
 
     @classmethod
@@ -189,6 +186,13 @@ def equivalent(f1: EvenBinaryForm, f2: EvenBinaryForm) -> UnimodularTransform | 
     return t
 
 
+def _genus_keys(forms: list[EvenBinaryForm]) -> list[tuple]:
+    """The genus_key of each form's discriminant form (imports once per list)."""
+    from .discforms import FiniteQF
+    from .lattice import GramMatrix
+    return [FiniteQF.from_lattice(GramMatrix.from_rows(f.matrix)).genus_key() for f in forms]
+
+
 def genus_partition(d: int) -> list[list[EvenBinaryForm]]:
     """Classes of discriminant d grouped by discriminant-form isomorphism.
 
@@ -200,8 +204,8 @@ def genus_partition(d: int) -> list[list[EvenBinaryForm]]:
     """
     forms = enumerate_reduced(d)
     groups: dict[tuple, list[EvenBinaryForm]] = {}
-    for f in forms:
-        groups.setdefault(FiniteQF.from_lattice(f.gram).genus_key(), []).append(f)
+    for f, key in zip(forms, _genus_keys(forms)):
+        groups.setdefault(key, []).append(f)
     return list(groups.values())
 
 
@@ -213,7 +217,8 @@ def match_disc_form(d: int, target: FiniteQF) -> list[EvenBinaryForm]:
     p-part keys that part apart from every nondegenerate one.
     """
     key = target.genus_key()
-    return [f for f in enumerate_reduced(d) if FiniteQF.from_lattice(f.gram).genus_key() == key]
+    forms = enumerate_reduced(d)
+    return [f for f, k in zip(forms, _genus_keys(forms)) if k == key]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The dataset lives in ``data/families.json`` so it stays diffable.  Rows that
 carry recorded Picard-side discriminant forms are re-derived through the
 matching pipeline; rows without usable derivation data get consistency
-checks only (determinant vs d, evenness, reducedness).
+checks only (determinant vs d, evenness, positive definiteness,
+reducedness).  Loading needs only the lattice and discriminant-form modules;
+each report imports the modules its checks use.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import Optional
 
-from .binforms import EvenBinaryForm, MathFailure, hessian_embeddable, reduce as reduce_form
 from .discforms import FiniteQF, parse_form_literal
+from .errors import MathFailure
 from .lattice import GramMatrix, U, determinant, direct_sum
-from .rank3 import Rank3Candidate, transcendental_of_singular, verify_candidate
-from .ternary import is_simple_shioda_inose
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ class Catalog:
         raise CatalogError(f"catalog has no family {name!r}")
 
     def rank2_matrices(self) -> list[tuple[str, str, EvenBinaryForm]]:
+        from .binforms import EvenBinaryForm
         out = []
         for fam in self.families:
             for case in fam.singular:
@@ -170,14 +171,17 @@ class Report:
 
 
 def _consistency_row(fam: str, case: str, gram: GramMatrix, d: int) -> ReportRow:
+    from .binforms import EvenBinaryForm
     problems = []
-    if determinant(gram) != d:
-        problems.append(f"det {determinant(gram)} != {d}")
+    det = determinant(gram)
+    if det != d:
+        problems.append(f"det {det} != {d}")
     if not gram.is_even():
         problems.append("matrix not even")
-    if gram.n == 2:
-        f = EvenBinaryForm.from_matrix(gram.rows)
-        if not f.is_reduced():
+    elif gram.n == 2:
+        if gram.rows[0][0] <= 0 or det <= 0:
+            problems.append("matrix not positive definite")
+        elif not EvenBinaryForm.from_matrix(gram.rows).is_reduced():
             problems.append("matrix not reduced")
     if problems:
         return ReportRow(fam, case, "consistency", False, "; ".join(problems))
@@ -186,6 +190,8 @@ def _consistency_row(fam: str, case: str, gram: GramMatrix, d: int) -> ReportRow
 
 def repro_table1(catalog: Optional[Catalog] = None) -> Report:
     """Re-derive every catalog row that carries derivation data; diff vs stored."""
+    from .binforms import EvenBinaryForm, reduce as reduce_form
+    from .rank3 import Rank3Candidate, transcendental_of_singular, verify_candidate
     cat = catalog or load_catalog()
     rows: list[ReportRow] = []
     for fam in cat.families:
@@ -221,6 +227,7 @@ def repro_table1(catalog: Optional[Catalog] = None) -> Report:
 
 def repro_section4(catalog: Optional[Catalog] = None) -> Report:
     """Simple-Shioda-Inose certificates for the two rank-3 general lattices."""
+    from .ternary import is_simple_shioda_inose
     cat = catalog or load_catalog()
     rows: list[ReportRow] = []
     for name in ("TxV", "OxT"):
@@ -242,6 +249,7 @@ def repro_section4(catalog: Optional[Catalog] = None) -> Report:
 
 def repro_section5(catalog: Optional[Catalog] = None) -> Report:
     """Embeddability screen over every stored rank-2 matrix."""
+    from .binforms import hessian_embeddable
     cat = catalog or load_catalog()
     rows = []
     for fam, case, form in cat.rank2_matrices():

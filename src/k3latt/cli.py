@@ -5,6 +5,9 @@ Exit codes: 0 success / all checks pass; 1 a mathematical failure (a
 or an inconclusive verdict); 2 an input error or a declared limit
 (``TooLarge``, ``SearchTooLarge``).  The ``--primes`` of ``isotropy`` and
 ``simple`` must be primes.
+
+Each command imports the modules it calls when it runs, so that it pays
+only for its own imports.
 """
 
 from __future__ import annotations
@@ -13,22 +16,18 @@ import argparse
 import json
 import sys
 
-from . import binforms, catalog, discforms, nsverify, rank3, ternary
-from .binforms import EvenBinaryForm, MathFailure
-from .formats import (
-    format_bracket_matrix,
-    parse_bracket_matrix,
-    parse_gram_text,
-)
-from .lattice import GramMatrix
+from .errors import MathFailure
 
 PASS, MATH_FAIL, USAGE = 0, 1, 2
+BOUND_HELP = "largest |coordinate| of the witness search, at most 500 (default: 20)"
 PRIMES_HELP = ("comma-separated primes to test for a local obstruction, in order "
                "(default: the odd primes dividing 2*det, largest first)")
 
 
 def _load_gram(arg: str) -> GramMatrix:
     """Inline `[..]` matrix, `-` for stdin, or a file in rank-then-rows format."""
+    from .formats import parse_bracket_matrix, parse_gram_text
+    from .lattice import GramMatrix
     if arg.strip().startswith("["):
         return GramMatrix.from_rows(parse_bracket_matrix(arg))
     if arg == "-":
@@ -38,6 +37,8 @@ def _load_gram(arg: str) -> GramMatrix:
 
 
 def _load_binary_form(arg: str) -> EvenBinaryForm:
+    from .binforms import EvenBinaryForm
+    from .formats import parse_bracket_matrix
     return EvenBinaryForm.from_matrix(parse_bracket_matrix(arg))
 
 
@@ -67,6 +68,7 @@ def _finiteqf_json(f: discforms.FiniteQF) -> dict:
 
 
 def cmd_enumerate(args) -> int:
+    from . import binforms
     forms = binforms.enumerate_reduced(args.d)
     _emit(args, {"d": args.d, "forms": [_form_record(f) for f in forms]},
           [str(f) for f in forms])
@@ -74,6 +76,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import binforms
+    from .formats import format_bracket_matrix
     f = _load_binary_form(args.form)
     red, t = binforms.reduce(f)
     _emit(args, {"reduced": _form_record(red), "transform": [list(r) for r in t.m]},
@@ -82,6 +86,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_equivalent(args) -> int:
+    from . import binforms
+    from .formats import format_bracket_matrix
     f1 = _load_binary_form(args.form1)
     f2 = _load_binary_form(args.form2)
     t = binforms.equivalent(f1, f2)
@@ -94,6 +100,7 @@ def cmd_equivalent(args) -> int:
 
 
 def cmd_classnum(args) -> int:
+    from . import binforms
     try:
         n = binforms.class_number(args.d)
     except binforms.EmptyResult:
@@ -103,6 +110,7 @@ def cmd_classnum(args) -> int:
 
 
 def cmd_discform(args) -> int:
+    from . import discforms
     g = _load_gram(args.gram)
     f = discforms.FiniteQF.from_lattice(g)
     _emit(args, _finiteqf_json(f), [str(f)])
@@ -110,6 +118,7 @@ def cmd_discform(args) -> int:
 
 
 def cmd_match(args) -> int:
+    from . import binforms, discforms
     target = discforms.parse_form_literal(args.form)
     forms = binforms.match_disc_form(args.d, target)
     _emit(args, {"d": args.d, "matches": [_form_record(f) for f in forms]},
@@ -118,6 +127,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_small(args) -> int:
+    from . import rank3
     small = rank3.is_small_discriminant(args.d)
     _emit(args, {"d": args.d, "small": small}, [f"small: {str(small).lower()}"])
     return PASS
@@ -129,9 +139,15 @@ def _parse_primes(text: str | None) -> list[int] | None:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _bound(args) -> int:
+    from .ternary import DEFAULT_BOUND
+    return DEFAULT_BOUND if args.bound is None else args.bound
+
+
 def cmd_isotropy(args) -> int:
+    from . import ternary
     f = ternary.TernaryForm(_load_gram(args.gram))
-    verdict = ternary.decide_isotropy(f, bound=args.bound,
+    verdict = ternary.decide_isotropy(f, bound=_bound(args),
                                       primes=_parse_primes(args.primes))
     lines = {
         "witness": lambda: [f"witness: {verdict.witness}"],
@@ -145,8 +161,9 @@ def cmd_isotropy(args) -> int:
 
 
 def cmd_simple(args) -> int:
+    from . import ternary
     t = _load_gram(args.gram)
-    verdict = ternary.is_simple_shioda_inose(t, bound=args.bound,
+    verdict = ternary.is_simple_shioda_inose(t, bound=_bound(args),
                                              primes=_parse_primes(args.primes))
     simple = verdict.kind == "obstruction"
     payload = verdict.to_json()
@@ -159,6 +176,7 @@ def cmd_simple(args) -> int:
 
 
 def cmd_hessian(args) -> int:
+    from . import binforms
     f = _load_binary_form(args.form)
     ok = binforms.hessian_embeddable(f)
     _emit(args, {"form": _form_record(f), "embeddable": ok},
@@ -167,6 +185,7 @@ def cmd_hessian(args) -> int:
 
 
 def cmd_cm_moduli(args) -> int:
+    from . import binforms
     f = _load_binary_form(args.form)
     t1, t2 = binforms.cm_moduli(f)
     payload = {"tau1": {"p": t1.p, "q": t1.q, "r": t1.r, "d": t1.d},
@@ -176,6 +195,7 @@ def cmd_cm_moduli(args) -> int:
 
 
 def cmd_ns_check(args) -> int:
+    from . import nsverify
     if args.config == "-":
         text = sys.stdin.read()
     else:
@@ -196,6 +216,8 @@ def cmd_ns_check(args) -> int:
 
 
 def _parse_ns_config(text: str, rational_curves: bool):
+    from . import nsverify
+    from .lattice import GramMatrix
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
@@ -216,6 +238,7 @@ def _parse_ns_config(text: str, rational_curves: bool):
 
 
 def cmd_repro(args) -> int:
+    from . import catalog
     cat = catalog.load_catalog(args.data)
     report = {
         "table1": catalog.repro_table1,
@@ -264,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("isotropy", cmd_isotropy, "integer zero or local obstruction of a ternary form")
     p.add_argument("gram")
-    p.add_argument("--bound", type=int, default=ternary.DEFAULT_BOUND)
+    p.add_argument("--bound", type=int, default=None, help=BOUND_HELP)
     p.add_argument("--primes", default=None, help=PRIMES_HELP)
 
     p = add("simple", cmd_simple, "simple Shioda-Inose test for a rank-3 lattice")
     p.add_argument("gram")
-    p.add_argument("--bound", type=int, default=ternary.DEFAULT_BOUND)
+    p.add_argument("--bound", type=int, default=None, help=BOUND_HELP)
     p.add_argument("--primes", default=None, help=PRIMES_HELP)
 
     p = add("hessian", cmd_hessian, "Hessian-lattice embeddability of a rank-2 form")

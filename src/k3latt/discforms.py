@@ -40,6 +40,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from .arith import factorize
+from .errors import InvalidForm
 from .lattice import (
     DimensionMismatch,
     GramMatrix,
@@ -52,10 +53,6 @@ from .lattice import (
 # Nondegenerate parts are compared by their Jordan invariants or 2-adic
 # symbol at any order and are not bounded.
 ISO_GROUP_BOUND = 100_000
-
-
-class InvalidForm(ValueError):
-    """Not a valid finite quadratic form, or not a positive-definite even binary form."""
 
 
 class TooLarge(ValueError):

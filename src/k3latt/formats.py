@@ -7,12 +7,9 @@ integers.  Rational vectors: space-separated `p/q` tokens.  Inline matrices:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .lattice import GramMatrix, Vector, as_vector
-
 
 def parse_gram_text(text: str) -> GramMatrix:
+    from .lattice import GramMatrix
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
@@ -31,6 +28,8 @@ def format_gram_text(g: GramMatrix) -> str:
 
 
 def parse_vector(text: str) -> Vector:
+    from fractions import Fraction
+    from .lattice import as_vector
     return as_vector(Fraction(tok) for tok in text.split())
 
 

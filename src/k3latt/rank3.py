@@ -4,16 +4,15 @@ For rank 3 the candidate lattice is pinned down by signature, determinant,
 discriminant form, and a cube-divisor smallness test that guarantees
 one class per genus.  For rank 2 the pipeline negates the Picard-side
 discriminant form and matches it against the reduced forms of the right
-discriminant, insisting on a unique hit.
+discriminant, insisting on a unique hit.  The smallness test is plain
+integer arithmetic; the functions that need lattices and forms import them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binforms import EvenBinaryForm, MathFailure, match_disc_form
-from .discforms import FiniteQF
-from .lattice import GramMatrix, determinant, signature
+from .errors import MathFailure
 
 
 class ZeroDiscriminant(ValueError):
@@ -68,6 +67,8 @@ class CandidateReport:
 
 def verify_candidate(cand: Rank3Candidate) -> CandidateReport:
     """Check signature (2,1), determinant, discriminant form, and smallness."""
+    from .discforms import FiniteQF
+    from .lattice import determinant, signature
     det = determinant(cand.gram)
     sig_ok = det != 0 and signature(cand.gram) == (2, 1)
     det_ok = det == cand.expected_d
@@ -85,6 +86,7 @@ def transcendental_of_singular(d: int, ns_form: FiniteQF) -> EvenBinaryForm:
     answer; several matches mean the genus has more than one class and the
     caller cannot conclude.
     """
+    from .binforms import match_disc_form
     matches = match_disc_form(d, ns_form.negate())
     if not matches:
         raise NoMatch(f"no reduced form of discriminant {d} matches the negated form")

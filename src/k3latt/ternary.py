@@ -12,14 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Optional, Sequence
 
 from .arith import factorize
 from .lattice import DegenerateLattice, GramMatrix, determinant, signature, twist
 
 DEFAULT_BOUND = 20
+MAX_BOUND = 500  # the witness scan is quadratic in the bound: about 0.6 s at 500
 BUDGET = 500_000_000  # largest modular search, in cells, that local_obstruction runs
+# The odd primes p with p^8 <= BUDGET.  A default prime has precision e >= 4,
+# so its search has at least p^8 cells: no other prime can be searched by default.
+SEARCHABLE_PRIMES = tuple(p for p in range(3, isqrt(isqrt(isqrt(BUDGET))) + 1, 2)
+                          if factorize(p) == {p: 1})
 
 
 class SearchTooLarge(ValueError):
@@ -80,10 +85,12 @@ def find_isotropic(f: TernaryForm, bound: int) -> Optional[tuple[int, int, int]]
     """First nonzero v with |v_i| <= bound and v^T G v == 0, or None.
 
     Scans (x, y) outward from 0 and solves the remaining quadratic in z
-    exactly, so the cost is quadratic in the bound.
+    exactly, so the cost is quadratic in the bound, which MAX_BOUND caps.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound {bound} exceeds the cap {MAX_BOUND}")
     g = f.gram.rows
     a = g[2][2]
     for x in _signed_range(bound):
@@ -196,14 +203,23 @@ def decide_isotropy(f: TernaryForm, bound: int = DEFAULT_BOUND,
 
     Default primes are the odd primes dividing 2*det, largest first, each at
     precision e = 3 + v_p(2*det).  Several primes can carry an obstruction;
-    the verdict records the first that does under this fixed order.
+    the verdict records the first that does under this fixed order.  Only
+    SEARCHABLE_PRIMES are divided out of 2*det: a cofactor left above 1 holds
+    a larger prime, which would come first and exceed BUDGET, so
+    SearchTooLarge is raised at once, however large det is.
     """
     w = find_isotropic(f, bound)
     if w is not None:
         return IsotropyVerdict("witness", witness=w)
     det2 = 2 * abs(determinant(f.gram))
     if primes is None:
-        primes = sorted(factorize(det2).keys() - {2}, reverse=True)
+        primes = [p for p in reversed(SEARCHABLE_PRIMES) if det2 % p == 0]
+        rest = det2
+        while (g := gcd(rest, 2 * prod(SEARCHABLE_PRIMES))) > 1:
+            rest //= g
+        if rest > 1:
+            raise SearchTooLarge(f"2*|det| has the factor {rest}, whose primes exceed "
+                                 f"{SEARCHABLE_PRIMES[-1]}: their search exceeds budget {BUDGET}")
     tried = []
     for p in primes:
         e = 3 + (next(k for k in count() if det2 % p ** (k + 1)) if p >= 2 else 0)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import k3latt
 from k3latt.catalog import CatalogError
-from k3latt.cli import main
+from k3latt.cli import BOUND_HELP, main
+from k3latt.ternary import DEFAULT_BOUND, MAX_BOUND
 
 SRC = os.path.dirname(os.path.dirname(k3latt.__file__))
 NS0_GRAM = "[-4 -1 0; -1 -4 0; 0 0 2]"
@@ -135,6 +137,18 @@ class TestIsotropyCommands:
         # at p = 1 and p = -1 the valuation used to loop forever, at p = 0 it divided by zero
         assert_usage_error(run_subprocess("isotropy", NS0_GRAM, f"--primes={primes}"))
 
+    def test_huge_det_with_default_primes(self):
+        # the default primes used to trial-divide 2*|det| all the way
+        p = 2 ** 61 - 1
+        res = run_subprocess("isotropy", f"[-1 0 0; 0 -1 0; 0 0 -{p}]")
+        assert_usage_error(res)
+        assert f"factor {p}," in res.stderr
+
+    def test_bound_is_capped(self):
+        # the witness scan is quadratic in the bound; 10^5 used to run for minutes
+        assert_usage_error(run_subprocess("isotropy", NS0_GRAM, "--bound", "100000"))
+        assert f"at most {MAX_BOUND} (default: {DEFAULT_BOUND})" in BOUND_HELP
+
     def test_primes_flag(self, capsys):
         code, out, _ = run(capsys, "isotropy", "[-4 -1 0; -1 -4 0; 0 0 2]",
                            "--primes", "3", "--json")
@@ -180,6 +194,22 @@ class TestRepro:
         assert code == 2
         assert err.startswith("error: ") and "F" in err and "'d'" in err
         assert issubclass(CatalogError, ValueError)
+
+    @pytest.mark.parametrize("matrix, d, problem", [
+        ([[3, 1], [1, 8]], 23, "matrix not even"),
+        ([[-2, 1], [1, 8]], -17, "matrix not positive definite"),
+    ])
+    def test_bad_rank2_row_is_a_failed_row(self, capsys, tmp_path, matrix, d, problem):
+        data = json.loads((Path(SRC) / "k3latt" / "data" / "families.json").read_text())
+        case = data["families"][0]["singular"][0]
+        assert (data["families"][0]["name"], case["case"]) == ("G6", "1")
+        case.update(matrix=matrix, d=d)
+        p = tmp_path / "cat.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "repro", "table1", "--data", str(p), "--json")
+        assert (code, err) == (1, "")
+        failed = [r for r in json.loads(out)["rows"] if not r["ok"]]
+        assert [(r["family"], r["case"], r["detail"]) for r in failed] == [("G6", "1", problem)]
 
     @pytest.mark.parametrize("data", [
         {"families": [{"name": "F", "singular": [{"case": "1", "matrix": 5, "d": 3}]}]},

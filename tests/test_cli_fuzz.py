@@ -6,6 +6,8 @@ entries in [-3, 3].  The matrices given to ``isotropy`` and ``simple`` have
 entries in [-2, 2]: at [-3, 3] a split form with 11 | det has a modular
 search of 11^8 = 2*10^8 cells within the budget, whose numpy grids take
 gigabytes.  For the same reason ``--primes`` draws its primes up to 11.
+``--bound`` is at most 25 or above the cap ``MAX_BOUND``, which is refused
+at once: the witness scan is quadratic in it.
 """
 
 import copy
@@ -21,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from k3latt.cli import main
+from k3latt.ternary import MAX_BOUND
 
 BUNDLED = json.loads(files("k3latt").joinpath("data/families.json").read_text())
 COMMANDS = ("enumerate", "classnum", "small", "reduce", "hessian", "cm-moduli", "equivalent",
@@ -133,7 +136,8 @@ def catalog_json():
 
 
 def argv_for(cmd: str):
-    options = st.lists(st.one_of(st.tuples(st.just("--bound"), st.integers(-2, 25).map(str)),
+    bound = st.one_of(st.integers(-2, 25), st.integers(MAX_BOUND + 1, 10 ** 12))
+    options = st.lists(st.one_of(st.tuples(st.just("--bound"), bound.map(str)),
                                  st.tuples(st.just("--primes"), PRIMES)), max_size=2)
     isotropy = st.tuples(TERNARY, options).map(lambda t: [t[0]] + [x for o in t[1] for x in o])
     return {

@@ -4,6 +4,9 @@ import pytest
 
 from k3latt.lattice import DegenerateLattice, GramMatrix, direct_sum, twist, U
 from k3latt.ternary import (
+    BUDGET,
+    MAX_BOUND,
+    SEARCHABLE_PRIMES,
     SearchTooLarge,
     TernaryForm,
     WrongSignature,
@@ -55,6 +58,12 @@ class TestFindIsotropic:
         # put every other zero outside the box
         f = TernaryForm(GramMatrix.from_rows([[2, 0, 7], [0, 2, 9], [7, 9, 0]]))
         assert find_isotropic(f, 1) == (0, 0, 1)
+
+    def test_bound_cap(self):
+        assert find_isotropic(diag(1, -1, 5), MAX_BOUND) == (1, 1, 0)
+        for bound in (MAX_BOUND + 1, 10 ** 5):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                find_isotropic(diag(1, -1, 5), bound)
 
     def test_witness_verified(self):
         rng = random.Random(31)
@@ -152,6 +161,24 @@ class TestDecideIsotropy:
         assert decide_isotropy(f, primes=[3]).primes_tested == (3,)
         with pytest.raises(SearchTooLarge):
             decide_isotropy(f, primes=[2 ** 61 - 1])
+
+    def test_searchable_primes(self):
+        assert SEARCHABLE_PRIMES == (3, 5, 7, 11)
+        assert all(p ** 8 <= BUDGET for p in SEARCHABLE_PRIMES) and 13 ** 8 > BUDGET
+
+    @pytest.mark.parametrize("entries", [(-1, -1, -3), (-1, -3, -5), (-4, -1, -2 * 25),
+                                         (-2, -7, -3), (-1, -1, -7), (3, 5, -7)])
+    def test_default_primes_are_the_odd_primes_of_det(self, entries):
+        f = diag(*entries)
+        odd = [p for p in (7, 5, 3) if (2 * entries[0] * entries[1] * entries[2]) % p == 0]
+        assert decide_isotropy(f) == decide_isotropy(f, primes=odd)
+
+    @pytest.mark.parametrize("c, rest", [(13, 13), (3 * 13, 13), (2 * 17 * 17, 289),
+                                         (2 ** 61 - 1, 2 ** 61 - 1)])
+    def test_default_prime_past_budget_is_refused_at_once(self, c, rest):
+        # the largest prime would be searched first, with at least p^8 > BUDGET cells
+        with pytest.raises(SearchTooLarge, match=f"factor {rest},"):
+            decide_isotropy(diag(-1, -1, -c))
 
     def test_inconclusive(self):
         # x^2 + y^2 - 3z^2 has no small witness and no obstruction at 5
