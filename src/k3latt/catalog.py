@@ -17,7 +17,7 @@ from importlib.resources import files
 from typing import Optional
 
 from .discforms import FiniteQF, parse_form_literal
-from .errors import MathFailure
+from .errors import InvalidForm, MathFailure
 from .lattice import GramMatrix, U, determinant, direct_sum
 
 
@@ -248,11 +248,21 @@ def repro_section4(catalog: Optional[Catalog] = None) -> Report:
 
 
 def repro_section5(catalog: Optional[Catalog] = None) -> Report:
-    """Embeddability screen over every stored rank-2 matrix."""
-    from .binforms import hessian_embeddable
+    """Embeddability screen over every stored rank-2 matrix.
+
+    A matrix that is not a positive-definite even binary form gives a failed
+    row that names it, as in ``repro_table1``.
+    """
+    from .binforms import EvenBinaryForm, hessian_embeddable
     cat = catalog or load_catalog()
     rows = []
-    for fam, case, form in cat.rank2_matrices():
-        ok = hessian_embeddable(form)
-        rows.append(ReportRow(fam, case, f"hessian-embeddable {form}", ok))
+    for fam in cat.families:
+        for case in fam.singular:
+            try:
+                form = EvenBinaryForm.from_matrix(case.gram.rows)
+            except InvalidForm as exc:
+                rows.append(ReportRow(fam.name, case.case, "hessian-embeddable", False, str(exc)))
+                continue
+            rows.append(ReportRow(fam.name, case.case, f"hessian-embeddable {form}",
+                                  hessian_embeddable(form)))
     return Report("section5", tuple(rows))

@@ -2,10 +2,13 @@
 
 A witness is a nonzero integer vector v with v^T G v == 0.  A local
 obstruction at (p, e) certifies that no vector with a coordinate prime to p
-satisfies the congruence mod p^e, established by exhaustive search over
-residues; an obstruction at any precision rules out a witness outright.
-The solver makes no completeness claim: when the witness box and the tried
-primes are both exhausted it answers "inconclusive".
+satisfies the congruence mod p^e; an obstruction at any precision rules out
+a witness outright.  When one axis is orthogonal to the other two, the
+values of the binary block mod p^e are read as orbits under multiplication
+by unit squares, from p^e + p^(e-1) evaluations; otherwise every residue
+vector is searched.  The solver makes no completeness claim: when the
+witness box and the tried primes are both exhausted it answers
+"inconclusive".
 """
 
 from __future__ import annotations
@@ -20,9 +23,13 @@ from .lattice import DegenerateLattice, GramMatrix, determinant, signature, twis
 
 DEFAULT_BOUND = 20
 MAX_BOUND = 500  # the witness scan is quadratic in the bound: about 0.6 s at 500
-BUDGET = 500_000_000  # largest modular search, in cells, that local_obstruction runs
+# local_obstruction refuses a search whose grid over residues mod m = p^e, m^2
+# cells with a split axis and m^3 without, exceeds BUDGET.  The orbit sweep of
+# a split form visits only m + m/p residues, but the rule keeps the grid of the
+# definition, so the same inputs are refused and the verdicts stay stable.
+BUDGET = 500_000_000
 # The odd primes p with p^8 <= BUDGET.  A default prime has precision e >= 4,
-# so its search has at least p^8 cells: no other prime can be searched by default.
+# so its grid has at least p^8 cells: no other prime is searched by default.
 SEARCHABLE_PRIMES = tuple(p for p in range(3, isqrt(isqrt(isqrt(BUDGET))) + 1, 2)
                           if factorize(p) == {p: 1})
 
@@ -128,21 +135,66 @@ def _isqrt_exact(n: int) -> Optional[int]:
 
 
 def _split_axis(g: GramMatrix) -> Optional[int]:
-    """An axis orthogonal to the other two, if any (enables the fast search)."""
+    """An axis orthogonal to the other two, if any (enables the orbit method)."""
     for k in range(3):
         if all(g.rows[k][i] == 0 for i in range(3) if i != k):
             return k
     return None
 
 
+def _square_class(v: int, p: int, e: int) -> Optional[tuple[int, int]]:
+    """The orbit of v mod p^e under multiplication by unit squares; None for 0.
+
+    For v = p^k * w with w a unit the orbit is fixed by k and the class of w
+    modulo unit squares mod p^(e-k): its Legendre symbol for odd p, and
+    w mod 2^min(3, e-k) for p = 2.
+    """
+    v %= p ** e
+    if v == 0:
+        return None
+    k = 0
+    while v % p == 0:
+        v //= p
+        k += 1
+    if p == 2:
+        return k, v % 2 ** min(3, e - k)
+    return k, pow(v, (p - 1) // 2, p)
+
+
+def _split_obstruction(a: int, b: int, c: int, cz: int, p: int, e: int) -> bool:
+    """local_obstruction for a x^2 + b xy + c y^2 + cz z^2, in O(p^e) steps.
+
+    Since B(ux, uy) = u^2 B(x, y) for a unit u, the values of primitive pairs
+    form a union of unit-square orbits, and every primitive pair is a unit
+    times (1, t), or a unit times (s, 1) with p | s.  A pair p^j * (x, y)
+    takes p^(2j) times the value of (x, y).
+    """
+    m = p ** e
+    a, b, c = a % m, b % m, c % m
+    values = {(a + (b + c * t) * t) % m for t in range(m)}
+    values.update((c + (b + a * s) * s) % m for s in range(0, m, p))
+    reps = {}  # one primitive value per orbit
+    for v in values:
+        reps.setdefault(_square_class(v, p, e), v)
+    if None in reps:  # z = 0
+        return False
+    if any(_square_class(-cz * p ** (2 * i), p, e) in reps for i in range(e)):
+        return False  # a primitive pair against any z
+    reached = {None} | {_square_class(p ** (2 * j) * r, p, e) for r in reps.values()
+                        for j in range(e)}
+    return _square_class(-cz, p, e) not in reached  # any pair against a unit z
+
+
 def local_obstruction(f: TernaryForm, p: int, e: int) -> bool:
     """True iff no primitive solution of v^T G v == 0 mod p^e exists.
 
     Primitive means some coordinate is not divisible by p.  When one axis
-    splits off orthogonally the search collects the residue classes attained
-    by the rank-2 block once and then sweeps the remaining coordinate, which
-    is quadratic instead of cubic in p^e.  The size check comes before the
-    primality check, so a huge p is refused at no cost.
+    splits off orthogonally the binary block is read by its unit-square
+    orbits (see _split_obstruction), which takes p^e + p^(e-1) evaluations
+    and no numpy; otherwise a vectorized search visits (x, y, z) residues,
+    cubic in p^e.  Either search is refused by the size of its grid over
+    residues, m^2 or m^3 cells for m = p^e, which is checked before the
+    primality of p, so a huge p is refused at no cost.
     """
     if p < 2 or e < 1:
         raise ValueError("need a prime p and precision e >= 1")
@@ -153,33 +205,14 @@ def local_obstruction(f: TernaryForm, p: int, e: int) -> bool:
         raise SearchTooLarge(f"modular search size {work} exceeds budget {BUDGET}")
     if factorize(p) != {p: 1}:
         raise ValueError(f"{p} is not a prime")
-    import numpy as np  # only this search uses numpy, so `import k3latt` stays light
-
+    g = f.gram.rows
     if axis is not None:
         i, j = [t for t in range(3) if t != axis]
-        g = f.gram.rows
-        cxx, cxy, cyy = g[i][i] % m, (2 * g[i][j]) % m, g[j][j] % m
-        czz = g[axis][axis] % m
-        xs = np.arange(m, dtype=np.int64)
-        col = xs[:, None]
-        row = xs[None, :]
-        vals = (cxx * col * col + cxy * col * row + cyy * row * row) % m
-        prim_pair = (col % p != 0) | (row % p != 0)
-        attained_all = np.zeros(m, dtype=bool)
-        attained_prim = np.zeros(m, dtype=bool)
-        attained_all[vals.ravel()] = True
-        attained_prim[vals[prim_pair].ravel()] = True
-        zs = xs
-        targets = (-(czz * zs * zs)) % m
-        if attained_prim[targets].any():
-            return False
-        z_prim = zs % p != 0
-        if (z_prim & attained_all[targets]).any():
-            return False
-        return True
+        return _split_obstruction(g[i][i], 2 * g[i][j], g[j][j], g[axis][axis], p, e)
 
-    # general case: z outermost, vectorized (x, y) grid per z
-    g = f.gram.rows
+    import numpy as np  # only the general search uses numpy, so `import k3latt` stays light
+
+    # z outermost, vectorized (x, y) grid per z
     xs = np.arange(m, dtype=np.int64)
     col = xs[:, None]
     row = xs[None, :]

@@ -211,6 +211,22 @@ class TestRepro:
         failed = [r for r in json.loads(out)["rows"] if not r["ok"]]
         assert [(r["family"], r["case"], r["detail"]) for r in failed] == [("G6", "1", problem)]
 
+    @pytest.mark.parametrize("matrix, problem", [
+        ([[3, 1], [1, 8]], "matrix must be even"),
+        ([[-2, 1], [1, 8]], "(-1,4,1) is not positive definite"),
+    ])
+    def test_bad_rank2_row_fails_section5(self, capsys, tmp_path, matrix, problem):
+        data = json.loads((Path(SRC) / "k3latt" / "data" / "families.json").read_text())
+        data["families"][0]["singular"][0].update(matrix=matrix)
+        p = tmp_path / "cat.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "repro", "section5", "--data", str(p), "--json")
+        assert (code, err) == (1, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 26
+        failed = [r for r in rows if not r["ok"]]
+        assert [(r["family"], r["case"], r["detail"]) for r in failed] == [("G6", "1", problem)]
+
     @pytest.mark.parametrize("data", [
         {"families": [{"name": "F", "singular": [{"case": "1", "matrix": 5, "d": 3}]}]},
         {"families": [{"name": "F", "singular": [

@@ -1,7 +1,8 @@
 """The import contract: ``import k3latt`` binds its public names on first use,
-and each CLI command loads only the modules it calls."""
+and each CLI command loads only the modules it calls, in a bounded address space."""
 
 import importlib
+import json
 import subprocess
 import sys
 
@@ -90,3 +91,25 @@ def test_cheap_commands_load_no_heavy_module(argv):
 @pytest.mark.parametrize("target", ["table1", "section5"])
 def test_repro_without_isotropy_loads_no_numpy(target):
     assert "numpy" not in loaded_by_command("repro", target)
+
+
+@pytest.mark.parametrize("argv", [("repro", "section4"), ("isotropy", "[-4 -1 0; -1 -4 0; 0 0 2]"),
+                                  ("simple", "[4 1 0; 1 4 0; 0 0 -2]")])
+def test_split_isotropy_loads_no_numpy(argv):
+    # each form splits off an orthogonal axis, so only the orbit sweep runs
+    assert "numpy" not in loaded_by_command(*argv)
+
+
+def test_section4_fits_in_128_mb():
+    resource = pytest.importorskip("resource")
+    cap = 128 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    res = subprocess.run([sys.executable, "-m", "k3latt.cli", "repro", "section4", "--json"],
+                         env=subprocess_env(), preexec_fn=limit, capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["passed"] and len(report["rows"]) == 3

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from k3latt.lattice import DegenerateLattice, GramMatrix, direct_sum, twist, U
 from k3latt.ternary import (
@@ -15,11 +17,38 @@ from k3latt.ternary import (
     is_simple_shioda_inose,
     local_obstruction,
 )
+from util_oracles import change_basis, split_grid_obstruction
 
 T0 = GramMatrix.from_rows([[4, 1, 0], [1, 4, 0], [0, 0, -2]])
 T1 = GramMatrix.from_rows([[10, 4, 0], [4, 10, 0], [0, 0, -2]])
 NS0 = TernaryForm(twist(T0, -1))
 NS1 = TernaryForm(twist(T1, -1))
+
+
+# every prime power p^e <= 2500 with p <= 13; the grid oracle is quadratic in p^e
+PRIME_POWERS = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 12) if p ** e <= 2500]
+SLOW = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@st.composite
+def split_forms(draw, max_m: int):
+    """(f, p, e): a nondegenerate form with one orthogonal axis, p^e <= max_m.
+
+    Coefficients are often 0 or divisible by p or p^2, and the cross term of
+    the binary block is often odd.
+    """
+    p, e = draw(st.sampled_from([pe for pe in PRIME_POWERS if pe[0] ** pe[1] <= max_m]))
+    coefficient = st.builds(lambda c, k: c * p ** k, st.integers(-8, 8), st.integers(0, 2))
+    a, c, cz = draw(coefficient), draw(coefficient), draw(coefficient)
+    b = draw(st.one_of(coefficient, st.just(0), st.integers(-9, 9).map(lambda x: 2 * x + 1)))
+    assume(cz != 0 and a * c != b * b)
+    axis = draw(st.integers(0, 2))
+    i, j = [t for t in range(3) if t != axis]
+    rows = [[0] * 3 for _ in range(3)]
+    rows[axis][axis], rows[i][i], rows[j][j] = cz, a, c
+    rows[i][j] = rows[j][i] = b
+    return TernaryForm(GramMatrix.from_rows(rows)), p, e
 
 
 def diag(*entries):
@@ -97,6 +126,11 @@ class TestLocalObstruction:
         for p in (2, 3, 5, 7):
             assert not local_obstruction(f, p, 1)
 
+    def test_axis_vanishing_mod_p(self):
+        # x^2 + y^2 has no primitive zero mod 3, but (0, 0, 1) is one of x^2 + y^2 + 3z^2
+        assert local_obstruction(diag(1, 1, 3), 3, 1) is False
+        assert local_obstruction(diag(1, 1, 3), 3, 2) is True
+
     def test_obstruction_tower(self):
         # obstruction at e implies obstruction at every higher precision,
         # and the default verdicts re-verify one step below
@@ -110,15 +144,21 @@ class TestLocalObstruction:
         for f, h in ((NS0, 30), (NS1, 30)):
             assert find_isotropic(f, h) is None
 
-    def test_general_path_matches_fast_path(self):
-        # same form, once with the split axis and once mixed by a change of
-        # basis that destroys the zero cross terms
-        g = GramMatrix.from_rows([[-4, -1, 0], [-1, -4, 0], [0, 0, 2]])
-        mixed = GramMatrix.from_rows([[-4, -1, -4], [-1, -4, -1], [-4, -1, -2]])
-        # mixed = S^T g S with S = [[1,0,1],[0,1,0],[0,0,1]]; same Z-equivalence class
-        for p, e in ((5, 2), (3, 2), (5, 3)):
-            assert local_obstruction(TernaryForm(g), p, e) == \
-                local_obstruction(TernaryForm(mixed), p, e)
+    @SLOW
+    @given(case=split_forms(max_m=2500))
+    def test_split_path_matches_grid_oracle(self, case):
+        f, p, e = case
+        assert local_obstruction(f, p, e) == split_grid_obstruction(f, p, e)
+
+    @SLOW
+    @given(case=split_forms(max_m=100), seed=st.integers(0, 10 ** 9))
+    def test_general_path_matches_fast_path(self, case, seed):
+        # the same form, once split and once mixed by a change of basis in
+        # GL3(Z) that leaves no axis orthogonal to the other two; m^3 <= 10^6
+        f, p, e = case
+        mixed = change_basis(f.gram, random.Random(seed))
+        assume(all(any(mixed.rows[k][i] for i in range(3) if i != k) for k in range(3)))
+        assert local_obstruction(f, p, e) == local_obstruction(TernaryForm(mixed), p, e)
 
     def test_budget(self):
         # split axis: 7^6 squared is 7^12 cells, over the 5*10^8 budget

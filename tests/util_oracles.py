@@ -7,7 +7,9 @@ The discriminant-form oracles are the whole-group exhaustive isomorphism
 search that the prime-by-prime ``FiniteQF.is_isomorphic`` replaced, and
 the Fraction construction of a discriminant form from dual vectors that
 the integer ``FiniteQF.from_lattice`` replaced.  The subgroup oracle closes
-candidate classes under addition, as ``generators_report`` once did.
+candidate classes under addition, as ``generators_report`` once did.  The
+split-axis grid fills the m x m table of residues mod m = p^e that the
+orbit sweep of ``local_obstruction`` replaced.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from k3latt.lattice import (
     qnorm_mod2Z,
     smith_normal_form,
 )
+from k3latt.ternary import TernaryForm, _split_axis
 
 
 @lru_cache(maxsize=None)
@@ -289,3 +292,38 @@ def closure_subgroup_order(g: GramMatrix, candidates) -> int:
                     nxt.append(x)
         frontier = nxt
     return len(seen)
+
+
+# -- split-axis local obstruction on the full residue grid ----------------------
+
+def split_grid_obstruction(f: TernaryForm, p: int, e: int) -> bool:
+    """``local_obstruction`` of a split form, from every pair of residues mod p^e.
+
+    The values of the rank-2 block are collected over the whole m x m grid,
+    m = p^e, once for primitive pairs and once for all pairs, and then the
+    remaining coordinate is swept.  Time and memory are quadratic in m.
+    """
+    axis = _split_axis(f.gram)
+    assert axis is not None, "the grid oracle needs a split form"
+    m = p ** e
+    i, j = [t for t in range(3) if t != axis]
+    g = f.gram.rows
+    cxx, cxy, cyy = g[i][i] % m, (2 * g[i][j]) % m, g[j][j] % m
+    czz = g[axis][axis] % m
+    xs = np.arange(m, dtype=np.int64)
+    col = xs[:, None]
+    row = xs[None, :]
+    vals = (cxx * col * col + cxy * col * row + cyy * row * row) % m
+    prim_pair = (col % p != 0) | (row % p != 0)
+    attained_all = np.zeros(m, dtype=bool)
+    attained_prim = np.zeros(m, dtype=bool)
+    attained_all[vals.ravel()] = True
+    attained_prim[vals[prim_pair].ravel()] = True
+    zs = xs
+    targets = (-(czz * zs * zs)) % m
+    if attained_prim[targets].any():
+        return False
+    z_prim = zs % p != 0
+    if (z_prim & attained_all[targets]).any():
+        return False
+    return True
