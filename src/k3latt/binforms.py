@@ -11,27 +11,30 @@ neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InvalidForm, MathFailure
+from .value import Value
 
 
 class EmptyResult(MathFailure):
     """No even form exists: d must be 0 or 3 mod 4."""
 
 
-@dataclass(frozen=True)
-class EvenBinaryForm:
+class EvenBinaryForm(Value):
     """Triple (a, b, c) for the even matrix (2a c; c 2b)."""
 
+    __slots__ = ("a", "b", "c")
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.d <= 0:
-            raise InvalidForm(f"({self.a},{self.b},{self.c}) is not positive definite")
+    def __init__(self, a: int, b: int, c: int):
+        if a <= 0 or b <= 0 or 4 * a * b - c * c <= 0:
+            raise InvalidForm(f"({a},{b},{c}) is not positive definite")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def d(self) -> int:
@@ -71,16 +74,17 @@ def discriminant(f: EvenBinaryForm) -> int:
     return f.d
 
 
-@dataclass(frozen=True)
-class UnimodularTransform:
+class UnimodularTransform(Value):
     """2x2 integer matrix with determinant 1, acting by gamma^T M gamma."""
 
+    __slots__ = ("m",)
     m: tuple[tuple[int, int], tuple[int, int]]
 
-    def __post_init__(self):
-        ((p, q), (r, s)) = self.m
+    def __init__(self, m: tuple[tuple[int, int], tuple[int, int]]):
+        ((p, q), (r, s)) = m
         if p * s - q * r != 1:
             raise ValueError("transform must have determinant 1")
+        object.__setattr__(self, "m", m)
 
     @staticmethod
     def identity() -> "UnimodularTransform":
@@ -221,14 +225,17 @@ def match_disc_form(d: int, target: FiniteQF) -> list[EvenBinaryForm]:
     return [f for f, k in zip(forms, _genus_keys(forms)) if k == key]
 
 
-@dataclass(frozen=True)
-class CMSurd:
+class CMSurd(Value):
     """Exact value (p + q*sqrt(-d)) / r with gcd(p, q, r) == 1 and r > 0."""
 
+    __slots__ = ("p", "q", "r", "d")
     p: int
     q: int
     r: int
     d: int
+
+    def __init__(self, p: int, q: int, r: int, d: int):
+        self._assign(p, q, r, d)
 
     @staticmethod
     def make(p: int, q: int, r: int, d: int) -> "CMSurd":

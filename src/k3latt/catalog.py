@@ -12,47 +12,62 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from importlib.resources import files
 from typing import Optional
 
 from .discforms import FiniteQF, parse_form_literal
 from .errors import InvalidForm, MathFailure
 from .lattice import GramMatrix, U, determinant, direct_sum
+from .value import Value
 
 
-@dataclass(frozen=True)
-class SingularCase:
+class SingularCase(Value):
+    __slots__ = ("case", "gram", "d", "ns_form", "derivation", "note")
     case: str
     gram: GramMatrix
     d: int
-    ns_form: Optional[FiniteQF] = None
-    derivation: Optional[str] = None
-    note: Optional[str] = None
+    ns_form: Optional[FiniteQF]
+    derivation: Optional[str]
+    note: Optional[str]
+
+    def __init__(self, case: str, gram: GramMatrix, d: int, ns_form: Optional[FiniteQF] = None,
+                 derivation: Optional[str] = None, note: Optional[str] = None):
+        self._assign(case, gram, d, ns_form, derivation, note)
 
 
-@dataclass(frozen=True)
-class GeneralCase:
+class GeneralCase(Value):
+    __slots__ = ("gram", "d", "expected_form", "derivation", "note")
     gram: GramMatrix
     d: int
-    expected_form: Optional[FiniteQF] = None
-    derivation: Optional[str] = None
-    note: Optional[str] = None
+    expected_form: Optional[FiniteQF]
+    derivation: Optional[str]
+    note: Optional[str]
+
+    def __init__(self, gram: GramMatrix, d: int, expected_form: Optional[FiniteQF] = None,
+                 derivation: Optional[str] = None, note: Optional[str] = None):
+        self._assign(gram, d, expected_form, derivation, note)
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(Value):
+    __slots__ = ("name", "display", "general", "singular", "extremal")
     name: str
     display: str
     general: Optional[GeneralCase]
     singular: tuple[SingularCase, ...]
-    extremal: bool = False
+    extremal: bool
+
+    def __init__(self, name: str, display: str, general: Optional[GeneralCase],
+                 singular: tuple[SingularCase, ...], extremal: bool = False):
+        self._assign(name, display, general, singular, extremal)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Value):
+    __slots__ = ("families", "extremal_ids")
     families: tuple[FamilyRecord, ...]
     extremal_ids: tuple[int, ...]
+
+    def __init__(self, families: tuple[FamilyRecord, ...], extremal_ids: tuple[int, ...]):
+        self._assign(families, extremal_ids)
 
     def family(self, name: str) -> FamilyRecord:
         for fam in self.families:
@@ -133,13 +148,16 @@ def load_catalog(path: Optional[str] = None) -> Catalog:
     return Catalog(tuple(fams), ids)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Value):
+    __slots__ = ("family", "case", "status", "ok", "detail")
     family: str
     case: str
     status: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, family: str, case: str, status: str, ok: bool, detail: str = ""):
+        self._assign(family, case, status, ok, detail)
 
     def line(self) -> str:
         mark = "pass" if self.ok else "FAIL"
@@ -151,10 +169,13 @@ class ReportRow:
                 "ok": self.ok, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Value):
+    __slots__ = ("title", "rows")
     title: str
     rows: tuple[ReportRow, ...]
+
+    def __init__(self, title: str, rows: tuple[ReportRow, ...]):
+        self._assign(title, rows)
 
     @property
     def passed(self) -> bool:

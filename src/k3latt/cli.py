@@ -249,72 +249,75 @@ def cmd_repro(args) -> int:
     return PASS if report.passed else MATH_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+BOUND = ("--bound", {"type": int, "default": None, "help": BOUND_HELP})
+PRIMES = ("--primes", {"default": None, "help": PRIMES_HELP})
+
+
+def command_table() -> dict[str, tuple]:
+    """name -> (handler, help, arguments after --json as (name or flag, keywords)).
+
+    Built when called, so the handlers are the module's functions at that
+    time, also when something has since wrapped them.
+    """
+    return {
+        "enumerate": (cmd_enumerate, "reduced forms of a discriminant", [("d", {"type": int})]),
+        "reduce": (cmd_reduce, "Gauss-reduce an even binary form",
+                   [("form", {"help": "matrix like '[8 2; 2 8]'"})]),
+        "equivalent": (cmd_equivalent, "test SL2(Z)-equivalence of two forms",
+                       [("form1", {}), ("form2", {})]),
+        "classnum": (cmd_classnum, "class number of a discriminant", [("d", {"type": int})]),
+        "discform": (cmd_discform, "discriminant form of an even Gram matrix",
+                     [("gram", {"help": "inline '[..]', file path, or '-' for stdin"})]),
+        "match": (cmd_match, "reduced forms with a given discriminant form",
+                  [("d", {"type": int}), ("form", {"help": "literal like 'Z2(3/2)+Z30(23/30)'"})]),
+        "small": (cmd_small, "cube-divisor smallness test of a discriminant",
+                  [("d", {"type": int})]),
+        "isotropy": (cmd_isotropy, "integer zero or local obstruction of a ternary form",
+                     [("gram", {}), BOUND, PRIMES]),
+        "simple": (cmd_simple, "simple Shioda-Inose test for a rank-3 lattice",
+                   [("gram", {}), BOUND, PRIMES]),
+        "hessian": (cmd_hessian, "Hessian-lattice embeddability of a rank-2 form", [("form", {})]),
+        "cm-moduli": (cmd_cm_moduli, "CM period points of a rank-2 form", [("form", {})]),
+        "ns-check": (cmd_ns_check, "verify divisible classes against intersection data",
+                     [("config", {"help": "config file or '-' for stdin"}),
+                      ("--rational-curves",
+                       {"action": "store_true",
+                        "help": "require self-intersection -2 on the diagonal"})]),
+        "repro": (cmd_repro, "re-run the catalog reproductions",
+                  [("target", {"choices": ["table1", "section4", "section5"]}),
+                   ("--data", {"default": None, "help": "override the bundled catalog file"})]),
+    }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it is one.
+
+    Building one subparser instead of all of them saves a few ms per run.
+    The usage line still names every command, so each help, usage and
+    error text is the one the full parser prints.
+    """
     ap = argparse.ArgumentParser(
         prog="k3latt",
         description="Exact classification of even lattices via discriminant "
                     "forms and reduced binary quadratic forms.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    commands = command_table()
+    names = [command] if command in commands else list(commands)
+    metavar = "{" + ",".join(commands) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, help_text, arguments = commands[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("enumerate", cmd_enumerate, "reduced forms of a discriminant")
-    p.add_argument("d", type=int)
-
-    p = add("reduce", cmd_reduce, "Gauss-reduce an even binary form")
-    p.add_argument("form", help="matrix like '[8 2; 2 8]'")
-
-    p = add("equivalent", cmd_equivalent, "test SL2(Z)-equivalence of two forms")
-    p.add_argument("form1")
-    p.add_argument("form2")
-
-    p = add("classnum", cmd_classnum, "class number of a discriminant")
-    p.add_argument("d", type=int)
-
-    p = add("discform", cmd_discform, "discriminant form of an even Gram matrix")
-    p.add_argument("gram", help="inline '[..]', file path, or '-' for stdin")
-
-    p = add("match", cmd_match, "reduced forms with a given discriminant form")
-    p.add_argument("d", type=int)
-    p.add_argument("form", help="literal like 'Z2(3/2)+Z30(23/30)'")
-
-    p = add("small", cmd_small, "cube-divisor smallness test of a discriminant")
-    p.add_argument("d", type=int)
-
-    p = add("isotropy", cmd_isotropy, "integer zero or local obstruction of a ternary form")
-    p.add_argument("gram")
-    p.add_argument("--bound", type=int, default=None, help=BOUND_HELP)
-    p.add_argument("--primes", default=None, help=PRIMES_HELP)
-
-    p = add("simple", cmd_simple, "simple Shioda-Inose test for a rank-3 lattice")
-    p.add_argument("gram")
-    p.add_argument("--bound", type=int, default=None, help=BOUND_HELP)
-    p.add_argument("--primes", default=None, help=PRIMES_HELP)
-
-    p = add("hessian", cmd_hessian, "Hessian-lattice embeddability of a rank-2 form")
-    p.add_argument("form")
-
-    p = add("cm-moduli", cmd_cm_moduli, "CM period points of a rank-2 form")
-    p.add_argument("form")
-
-    p = add("ns-check", cmd_ns_check, "verify divisible classes against intersection data")
-    p.add_argument("config", help="config file or '-' for stdin")
-    p.add_argument("--rational-curves", action="store_true",
-                   help="require self-intersection -2 on the diagonal")
-
-    p = add("repro", cmd_repro, "re-run the catalog reproductions")
-    p.add_argument("target", choices=["table1", "section4", "section5"])
-    p.add_argument("--data", default=None, help="override the bundled catalog file")
-
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already

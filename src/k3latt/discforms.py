@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -48,6 +47,7 @@ from .lattice import (
     DegenerateLattice,
     smith_normal_form,
 )
+from .value import Value
 
 # Largest part that is_isomorphic searches exhaustively: a degenerate p-part.
 # Nondegenerate parts are compared by their Jordan invariants or 2-adic
@@ -59,16 +59,17 @@ class TooLarge(ValueError):
     """A degenerate p-part that must be searched exceeds ISO_GROUP_BOUND."""
 
 
-@dataclass(frozen=True, init=False)
-class FiniteQF:
+class FiniteQF(Value):
     """Finite abelian group with a Q/2Z quadratic form and Q/Z pairing.
 
     ``FiniteQF(orders, q, b)``: ``orders[i]`` is the order of generator g_i,
     ``q[i] = q(g_i)`` in [0,2), and ``b[i][j] = b(g_i, g_j)`` in [0,1) with
     b[i][i] == q[i] mod 1.  Stored are ``n = lcm(orders)`` and the integers
-    ``Q[i] = n * q[i]`` and ``B[i][j] = n * b[i][j]``.
+    ``Q[i] = n * q[i]`` and ``B[i][j] = n * b[i][j]``.  The instance
+    ``__dict__`` holds what ``cached_property`` computes.
     """
 
+    __slots__ = ("orders", "n", "Q", "B", "__dict__")
     orders: tuple[int, ...]
     n: int
     Q: tuple[int, ...]

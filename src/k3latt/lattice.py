@@ -7,10 +7,12 @@ exact and comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
+
+from .value import Value
 
 Vector = tuple[Fraction, ...]
 IntRows = tuple[tuple[int, ...], ...]
@@ -45,15 +47,14 @@ def as_vector(coords: Iterable) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(Value):
     """Symmetric integer matrix of a bilinear form on Z^n."""
 
+    __slots__ = ("rows",)
     rows: IntRows
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(map(int, row)) for row in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("Gram matrix must be square and nonempty")
@@ -61,10 +62,11 @@ class GramMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "GramMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(rows)
 
     @property
     def n(self) -> int:
@@ -72,13 +74,6 @@ class GramMatrix:
 
     def is_even(self) -> bool:
         return all(self.rows[i][i] % 2 == 0 for i in range(self.n))
-
-    def mul(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product G*v with exact rationals."""
-        if len(v) != self.n:
-            raise DimensionMismatch(f"expected length {self.n}, got {len(v)}")
-        return tuple(sum((Fraction(x) * c for x, c in zip(row, v)), Fraction(0))
-                     for row in self.rows)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -153,13 +148,18 @@ def signature(g: GramMatrix) -> tuple[int, int]:
     return pos, neg
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Value):
     """Smith normal form U*M*V == D with unimodular U, V and chained divisors."""
 
+    __slots__ = ("U", "D", "V")
     U: IntRows
     D: IntRows
     V: IntRows
+
+    def __init__(self, U: IntRows, D: IntRows, V: IntRows):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -288,38 +288,51 @@ def discriminant_group(g: GramMatrix) -> tuple[list[int], list[Vector]]:
     return factors, gens
 
 
-def is_dual_vector(g: GramMatrix, v: Sequence) -> bool:
-    """True iff G*v is integral, i.e. v pairs integrally with every lattice vector."""
+def _over_common_denominator(g: GramMatrix,
+                             v: Sequence) -> tuple[Vector, list[int], int, list[int]]:
+    """(v as rationals, c, n, G*c) with v = c/n and n the least common denominator.
+
+    v lies in the dual lattice iff G*v = G*c/n is integral, i.e. n divides
+    every entry of G*c; then v^T G w = c^T G d / (n m) for w = d/m.
+    """
     vv = as_vector(v)
     if len(vv) != g.n:
         raise DimensionMismatch(f"expected length {g.n}, got {len(vv)}")
-    return all(x.denominator == 1 for x in g.mul(vv))
+    n = lcm(*(x.denominator for x in vv))
+    c = [x.numerator * (n // x.denominator) for x in vv]
+    return vv, c, n, [sum(map(mul, row, c)) for row in g.rows]
+
+
+def is_dual_vector(g: GramMatrix, v: Sequence) -> bool:
+    """True iff G*v is integral, i.e. v pairs integrally with every lattice vector."""
+    _, _, n, gc = _over_common_denominator(g, v)
+    return all(x % n == 0 for x in gc)
 
 
 def qnorm_mod2Z(g: GramMatrix, v: Sequence) -> Fraction:
     """v^T G v reduced into the canonical representative [0, 2) of Q/2Z."""
-    vv = as_vector(v)
-    if not is_dual_vector(g, vv):
+    vv, c, n, gc = _over_common_denominator(g, v)
+    if any(x % n for x in gc):
         raise NotInDual(f"{vv} is not in the dual lattice")
-    val = sum((c * w for c, w in zip(vv, g.mul(vv))), Fraction(0))
-    return val % 2
+    return Fraction(sum(map(mul, c, gc)), n * n) % 2
 
 
 def pairing_modZ(g: GramMatrix, v: Sequence, w: Sequence) -> Fraction:
     """v^T G w reduced into [0, 1), defined for dual vectors."""
-    vv, ww = as_vector(v), as_vector(w)
-    if not is_dual_vector(g, vv) or not is_dual_vector(g, ww):
-        raise NotInDual("both vectors must lie in the dual lattice")
-    val = sum((c * x for c, x in zip(vv, g.mul(ww))), Fraction(0))
-    return val % 1
+    _, c, n, gc = _over_common_denominator(g, v)
+    if not any(x % n for x in gc):
+        _, d, m, gd = _over_common_denominator(g, w)
+        if not any(x % m for x in gd):
+            return Fraction(sum(map(mul, c, gd)), n * m) % 1
+    raise NotInDual("both vectors must lie in the dual lattice")
 
 
 def order_in_quotient(g: GramMatrix, v: Sequence) -> int:
     """Least n >= 1 with n*v integral, i.e. the order of [v] in L^dual/L."""
-    vv = as_vector(v)
-    if not is_dual_vector(g, vv):
+    vv, _, n, gc = _over_common_denominator(g, v)
+    if any(x % n for x in gc):
         raise NotInDual(f"{vv} is not in the dual lattice")
-    return lcm(*(c.denominator for c in vv)) if vv else 1
+    return n
 
 
 def sublattice_index_law(g_l: GramMatrix, basis_m) -> tuple[int, bool]:

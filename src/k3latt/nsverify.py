@@ -8,7 +8,6 @@ hand computations can be cross-checked line by line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Sequence
@@ -22,36 +21,42 @@ from .lattice import (
     qnorm_mod2Z,
     smith_normal_form,
 )
+from .value import Value
 
 
 class InvalidConfig(ValueError):
     """Configuration data violates its declared constraints."""
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Value):
+    __slots__ = ("names", "gram", "rational_curves")
     names: tuple[str, ...]
     gram: GramMatrix
-    rational_curves: bool = False
+    rational_curves: bool
 
-    def __post_init__(self):
-        if len(self.names) != self.gram.n:
+    def __init__(self, names: tuple[str, ...], gram: GramMatrix, rational_curves: bool = False):
+        if len(names) != gram.n:
             raise InvalidConfig("one label per basis curve required")
-        if self.rational_curves:
-            for i in range(self.gram.n):
-                if self.gram.rows[i][i] != -2:
+        if rational_curves:
+            for i in range(gram.n):
+                if gram.rows[i][i] != -2:
                     raise InvalidConfig(
-                        f"curve {self.names[i]} has self-intersection "
-                        f"{self.gram.rows[i][i]}, expected -2")
+                        f"curve {names[i]} has self-intersection "
+                        f"{gram.rows[i][i]}, expected -2")
+        self._assign(names, gram, rational_curves)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Value):
+    __slots__ = ("coeffs", "n", "in_dual", "qnorm", "order")
     coeffs: tuple[int, ...]
     n: int
     in_dual: bool
     qnorm: Optional[Fraction]
     order: Optional[int]
+
+    def __init__(self, coeffs: tuple[int, ...], n: int, in_dual: bool,
+                 qnorm: Optional[Fraction], order: Optional[int]):
+        self._assign(coeffs, n, in_dual, qnorm, order)
 
     def line(self) -> str:
         frac = f"({' '.join(str(c) for c in self.coeffs)})/{self.n}"
@@ -75,11 +80,15 @@ def check_divisible_class(cfg: CurveConfig, coeffs: Sequence[int], n: int) -> Cl
                        order_in_quotient(cfg.gram, v))
 
 
-@dataclass(frozen=True)
-class GeneratorsReport:
+class GeneratorsReport(Value):
+    __slots__ = ("classes", "subgroup_order", "expected_order")
     classes: tuple[ClassReport, ...]
     subgroup_order: int
     expected_order: int
+
+    def __init__(self, classes: tuple[ClassReport, ...], subgroup_order: int,
+                 expected_order: int):
+        self._assign(classes, subgroup_order, expected_order)
 
     @property
     def generates_full_group(self) -> bool:

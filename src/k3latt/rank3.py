@@ -10,9 +10,8 @@ integer arithmetic; the functions that need lattices and forms import them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MathFailure
+from .value import Value
 
 
 class ZeroDiscriminant(ValueError):
@@ -44,20 +43,27 @@ def is_small_discriminant(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Rank3Candidate:
+class Rank3Candidate(Value):
+    __slots__ = ("gram", "expected_d", "expected_form")
     gram: GramMatrix
     expected_d: int
     expected_form: FiniteQF
 
+    def __init__(self, gram: GramMatrix, expected_d: int, expected_form: FiniteQF):
+        self._assign(gram, expected_d, expected_form)
 
-@dataclass(frozen=True)
-class CandidateReport:
+
+class CandidateReport(Value):
+    __slots__ = ("signature_ok", "determinant_ok", "disc_form_ok", "small_ok", "det")
     signature_ok: bool
     determinant_ok: bool
     disc_form_ok: bool
     small_ok: bool
     det: int
+
+    def __init__(self, signature_ok: bool, determinant_ok: bool, disc_form_ok: bool,
+                 small_ok: bool, det: int):
+        self._assign(signature_ok, determinant_ok, disc_form_ok, small_ok, det)
 
     @property
     def verified(self) -> bool:

@@ -13,13 +13,13 @@ witness box and the tried primes are both exhausted it answers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt, prod
 from typing import Optional, Sequence
 
 from .arith import factorize
 from .lattice import DegenerateLattice, GramMatrix, determinant, signature, twist
+from .value import Value
 
 DEFAULT_BOUND = 20
 MAX_BOUND = 500  # the witness scan is quadratic in the bound: about 0.6 s at 500
@@ -42,15 +42,16 @@ class WrongSignature(ValueError):
     """A signature-(2,1) lattice is required."""
 
 
-@dataclass(frozen=True)
-class TernaryForm:
+class TernaryForm(Value):
+    __slots__ = ("gram",)
     gram: GramMatrix
 
-    def __post_init__(self):
-        if self.gram.n != 3:
+    def __init__(self, gram: GramMatrix):
+        if gram.n != 3:
             raise ValueError("ternary form needs a 3x3 Gram matrix")
-        if determinant(self.gram) == 0:
+        if determinant(gram) == 0:
             raise DegenerateLattice("ternary form must be nondegenerate")
+        object.__setattr__(self, "gram", gram)
 
     def value(self, v: Sequence[int]) -> int:
         x, y, z = v
@@ -59,14 +60,19 @@ class TernaryForm:
                 + 2 * (g[0][1] * x * y + g[0][2] * x * z + g[1][2] * y * z))
 
 
-@dataclass(frozen=True)
-class IsotropyVerdict:
+class IsotropyVerdict(Value):
+    __slots__ = ("kind", "witness", "prime", "precision", "bound", "primes_tested")
     kind: str  # "witness" | "obstruction" | "inconclusive"
-    witness: Optional[tuple[int, int, int]] = None
-    prime: Optional[int] = None
-    precision: Optional[int] = None
-    bound: Optional[int] = None
-    primes_tested: Optional[tuple[int, ...]] = None
+    witness: Optional[tuple[int, int, int]]
+    prime: Optional[int]
+    precision: Optional[int]
+    bound: Optional[int]
+    primes_tested: Optional[tuple[int, ...]]
+
+    def __init__(self, kind: str, witness: Optional[tuple[int, int, int]] = None,
+                 prime: Optional[int] = None, precision: Optional[int] = None,
+                 bound: Optional[int] = None, primes_tested: Optional[tuple[int, ...]] = None):
+        self._assign(kind, witness, prime, precision, bound, primes_tested)
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}

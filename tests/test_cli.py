@@ -1,14 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import k3latt
 from k3latt.catalog import CatalogError
-from k3latt.cli import BOUND_HELP, main
+from k3latt.cli import BOUND_HELP, build_parser, command_table, main
 from k3latt.ternary import DEFAULT_BOUND, MAX_BOUND
 
 SRC = os.path.dirname(os.path.dirname(k3latt.__file__))
@@ -99,6 +103,21 @@ class TestQueries:
         # the 2-part Z2 + Z65536 is decided by its 2-adic symbol
         code, out, _ = run(capsys, "match", "131072", "Z2(1/2)+Z65536(1/65536)")
         assert code == 0 and "[2 0; 0 65536]" in out.splitlines()
+
+    def test_match_with_a_61_bit_prime_exponent(self, capsys):
+        # factoring the exponent 2^61 - 1 by trial division ran for minutes
+        p = 2 ** 61 - 1
+        argv = ("match", "60", f"Z{p}(2/{p})")
+        assert run_subprocess(*argv).returncode == 1
+        t0 = time.process_time()
+        code, out, _ = run(capsys, *argv)
+        assert time.process_time() - t0 < 1.0
+        assert code == 1 and out.strip() == "no match"
+
+    def test_unproven_prime_exponent_is_a_declared_limit(self):
+        p = 2 ** 89 - 1  # prime, but past the range Miller-Rabin proves
+        res = run_subprocess("match", "60", f"Z{p}(2/{p})")
+        assert_usage_error(res, prefix=f"error: cannot factor {p}")
 
     def test_equivalent(self, capsys):
         code, out, _ = run(capsys, "equivalent", "[4 2; 2 16]", "[4 -2; -2 16]")
@@ -259,6 +278,46 @@ class TestUsageErrors:
 
     def test_zero_denominator_literal(self):
         assert_usage_error(run_subprocess("match", "60", "Z2(1/0)"))
+
+
+def _parse(parser, argv):
+    """(exit code or None, stdout, stderr) of parse_args."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(command_table()))
+    def test_one_subparser_prints_what_the_full_parser_prints(self, name):
+        full, one = build_parser(), build_parser(name)
+        assert one.format_usage() == full.format_usage()
+        for attr in ("format_help", "format_usage"):
+            assert getattr(_subparser(one, name), attr)() == getattr(_subparser(full, name), attr)()
+        for argv in ([name, "--help"], [name], [name, "--json", "1", "2", "3", "4"],
+                     [name, "--bogus"]):
+            assert _parse(one, argv) == _parse(full, argv), argv
+
+    def test_help_and_unknown_command_list_every_command(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        code, _, err = run(capsys, "nosuch")
+        assert code == 2
+        code, _, missing = run(capsys)
+        assert code == 2 and "required: command" in missing
+        for name in command_table():
+            assert f"\n    {name} " in out and f"'{name}'" in err
+        assert len(command_table()) == 13
 
 
 def test_import_does_not_load_numpy():

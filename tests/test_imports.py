@@ -100,6 +100,32 @@ def test_split_isotropy_loads_no_numpy(argv):
     assert "numpy" not in loaded_by_command(*argv)
 
 
+NS_CONFIG = "M1 M2 M3\n-2 0 0\n0 -2 0\n0 0 -2\n1 1 1 / 2\n"
+EVERY_COMMAND = [
+    ("enumerate", "60"), ("reduce", "[8 -2; -2 8]"), ("equivalent", "[4 2; 2 16]", "[4 -2; -2 16]"),
+    ("classnum", "84"), ("discform", "[2 1; 1 2]"), ("match", "15", "Z15(4/15)"),
+    ("small", "30"), ("isotropy", "[-4 -1 0; -1 -4 0; 0 0 2]"),
+    ("simple", "[4 1 0; 1 4 0; 0 0 -2]"), ("hessian", "[4 1; 1 4]"), ("cm-moduli", "[2 1; 1 8]"),
+    ("ns-check", "CONFIG", "--rational-curves"), ("repro", "table1"), ("repro", "section4"),
+    ("repro", "section5"),
+]
+
+
+def test_every_command_is_covered():
+    from k3latt.cli import command_table
+    assert {argv[0] for argv in EVERY_COMMAND} == set(command_table())
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_no_command_loads_dataclasses(argv, tmp_path):
+    # importing dataclasses (and inspect with it) and the code @dataclass
+    # generates per class would cost every run of the CLI
+    config = tmp_path / "ns.txt"
+    config.write_text(NS_CONFIG)
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    assert "dataclasses" not in loaded_by_command(*argv)
+
+
 def test_section4_fits_in_128_mb():
     resource = pytest.importorskip("resource")
     cap = 128 << 20

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3latt.lattice import (
     A2,
@@ -29,7 +31,13 @@ from k3latt.lattice import (
     sublattice_index_law,
     twist,
 )
-from util_oracles import random_even_gram
+from util_oracles import (
+    fraction_is_dual_vector,
+    fraction_order_in_quotient,
+    fraction_pairing_modZ,
+    fraction_qnorm_mod2Z,
+    random_even_gram,
+)
 
 A_15 = GramMatrix.from_rows([[4, 1], [1, 4]])
 T0 = direct_sum(A_15, GramMatrix.from_rows([[-2]]))
@@ -246,6 +254,41 @@ class TestDualAndNorms:
             v = gens[0]
             w = tuple(c + rng.randint(-3, 3) for c in v)
             assert qnorm_mod2Z(g, v) == qnorm_mod2Z(g, w)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotInDual as exc:
+        return ("NotInDual", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(1, 5), seed=st.integers(0, 10**9), even=st.booleans())
+def test_integer_dual_arithmetic_matches_fractions(rank, seed, even):
+    """Cleared denominators give the Fraction results, or the same NotInDual."""
+    rng = random.Random(seed)
+    g = random_even_gram(rng, rank, entry_bound=12)
+    if not even:
+        g = GramMatrix.from_rows([[x + (i == j) * rng.randint(0, 1) for j, x in enumerate(r)]
+                                  for i, r in enumerate(g.rows)])
+    _, gens = discriminant_group(g) if determinant(g) else ([], [])
+
+    def vector():
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(rank)]
+        for gen in gens:
+            k = rng.randint(-2, 2)
+            v = [a + k * b for a, b in zip(v, gen)]
+        if rng.random() < 0.3:
+            v[rng.randrange(rank)] += Fraction(1, rng.randint(2, 12))
+        return tuple(v)
+
+    for _ in range(4):
+        v, w = vector(), vector()
+        assert is_dual_vector(g, v) == fraction_is_dual_vector(g, v)
+        assert _outcome(qnorm_mod2Z, g, v) == _outcome(fraction_qnorm_mod2Z, g, v)
+        assert _outcome(order_in_quotient, g, v) == _outcome(fraction_order_in_quotient, g, v)
+        assert _outcome(pairing_modZ, g, v, w) == _outcome(fraction_pairing_modZ, g, v, w)
 
 
 class TestSublatticeIndexLaw:

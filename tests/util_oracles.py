@@ -9,7 +9,11 @@ the Fraction construction of a discriminant form from dual vectors that
 the integer ``FiniteQF.from_lattice`` replaced.  The subgroup oracle closes
 candidate classes under addition, as ``generators_report`` once did.  The
 split-axis grid fills the m x m table of residues mod m = p^e that the
-orbit sweep of ``local_obstruction`` replaced.
+orbit sweep of ``local_obstruction`` replaced.  The dual-vector oracles
+multiply G by Fraction vectors, as ``is_dual_vector``, ``qnorm_mod2Z``,
+``pairing_modZ`` and ``order_in_quotient`` did before they cleared
+denominators, and the factorizer is the plain trial division that
+``arith.factorize`` extends.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ from k3latt.binforms import EvenBinaryForm, UnimodularTransform, enumerate_reduc
 from k3latt.discforms import FiniteQF
 from k3latt.lattice import (
     DegenerateLattice,
+    DimensionMismatch,
     GramMatrix,
+    NotInDual,
     OddLattice,
+    as_vector,
     determinant,
     discriminant_group,
     is_dual_vector,
@@ -327,3 +334,54 @@ def split_grid_obstruction(f: TernaryForm, p: int, e: int) -> bool:
     if (z_prim & attained_all[targets]).any():
         return False
     return True
+
+
+# -- dual vectors with Fraction arithmetic --------------------------------------
+
+def fraction_mul(g: GramMatrix, v) -> tuple[Fraction, ...]:
+    """G*v with exact rationals."""
+    if len(v) != g.n:
+        raise DimensionMismatch(f"expected length {g.n}, got {len(v)}")
+    return tuple(sum((Fraction(x) * c for x, c in zip(row, v)), Fraction(0))
+                 for row in g.rows)
+
+
+def fraction_is_dual_vector(g: GramMatrix, v) -> bool:
+    return all(x.denominator == 1 for x in fraction_mul(g, as_vector(v)))
+
+
+def fraction_qnorm_mod2Z(g: GramMatrix, v) -> Fraction:
+    vv = as_vector(v)
+    if not fraction_is_dual_vector(g, vv):
+        raise NotInDual(f"{vv} is not in the dual lattice")
+    return sum((c * w for c, w in zip(vv, fraction_mul(g, vv))), Fraction(0)) % 2
+
+
+def fraction_pairing_modZ(g: GramMatrix, v, w) -> Fraction:
+    vv, ww = as_vector(v), as_vector(w)
+    if not fraction_is_dual_vector(g, vv) or not fraction_is_dual_vector(g, ww):
+        raise NotInDual("both vectors must lie in the dual lattice")
+    return sum((c * x for c, x in zip(vv, fraction_mul(g, ww))), Fraction(0)) % 1
+
+
+def fraction_order_in_quotient(g: GramMatrix, v) -> int:
+    vv = as_vector(v)
+    if not fraction_is_dual_vector(g, vv):
+        raise NotInDual(f"{vv} is not in the dual lattice")
+    return lcm(*(c.denominator for c in vv)) if vv else 1
+
+
+# -- factoring ------------------------------------------------------------------
+
+def trial_division_factorize(m: int) -> dict[int, int]:
+    """Prime factorization {p: e} of m >= 1 by trial division up to sqrt(m)."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
