@@ -1,20 +1,24 @@
 """Exact linear algebra over Z and Q for integral lattices.
 
-Everything runs on arbitrary-precision integers and ``fractions.Fraction``;
-no floating point enters any code path, so quantities like norms mod 2Z stay
-exact and comparable.
+Everything runs on arbitrary-precision integers, and on
+``fractions.Fraction`` where a result is rational (dual vectors, their norms
+and pairings); no floating point enters any code path, so quantities like
+norms mod 2Z stay exact and comparable.  Determinant and signature are
+fraction-free, so only the rational functions import ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeAlias
 
 from .value import Value
 
-Vector = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Vector: TypeAlias = "tuple[Fraction, ...]"
 IntRows = tuple[tuple[int, ...], ...]
 
 
@@ -44,6 +48,7 @@ class DegenerateSublattice(ValueError):
 
 def as_vector(coords: Iterable) -> Vector:
     """Coerce a sequence of ints / 'p/q' strings / Fractions to exact rationals."""
+    from fractions import Fraction
     return tuple(Fraction(c) for c in coords)
 
 
@@ -111,17 +116,21 @@ def determinant(mat) -> int:
 
 
 def signature(g: GramMatrix) -> tuple[int, int]:
-    """(s+, s-) of a nondegenerate form, by exact symmetric elimination.
+    """(s+, s-) of a nondegenerate form, by fraction-free symmetric elimination.
 
-    Sylvester's law applied to a rational LDL^T-style reduction; zero pivots
-    are repaired by a congruence (row/col swap, or adding a row+column when
-    the whole remaining diagonal vanishes).
+    Bareiss elimination keeps every entry an integer: after step k the
+    trailing block is the rational Schur complement times the k-th pivot,
+    which is a leading principal minor.  So the pivot of the rational
+    LDL^T reduction is a quotient of consecutive minors, its sign is
+    sign(a_kk) * sign(previous pivot), and Sylvester's law counts those
+    signs.  Zero pivots are repaired by a congruence inside the trailing
+    block (row/col swap, or adding a row+column when the whole remaining
+    diagonal vanishes); a row of zeros there means det == 0.
     """
-    if determinant(g) == 0:
-        raise DegenerateLattice("signature undefined for det == 0")
     n = g.n
-    a = [[Fraction(x) for x in row] for row in g.rows]
+    a = [list(row) for row in g.rows]
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
@@ -130,21 +139,28 @@ def signature(g: GramMatrix) -> tuple[int, int]:
                     a[r][k], a[r][j] = a[r][j], a[r][k]
                 a[k], a[j] = a[j], a[k]
             else:
-                j = next(j for j in range(k + 1, n) if a[k][j] != 0)
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    raise DegenerateLattice("signature undefined for det == 0")
                 for c in range(k, n):
                     a[k][c] += a[j][c]
                 for r in range(k, n):
                     a[r][k] += a[r][j]
         p = a[k][k]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        pivot_row = a[k]
         for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                q, rem = divmod(row[j] * p - f * pivot_row[j], prev)
+                if rem:
+                    raise AssertionError(f"Bareiss division by {prev} left remainder {rem}")
+                row[j] = q
+        prev = p
     return pos, neg
 
 
@@ -276,6 +292,7 @@ def discriminant_group(g: GramMatrix) -> tuple[list[int], list[Vector]]:
     """
     if determinant(g) == 0:
         raise DegenerateLattice("discriminant group needs det != 0")
+    from fractions import Fraction
     snf = smith_normal_form(g.rows)
     n = g.n
     factors: list[int] = []
@@ -311,6 +328,7 @@ def is_dual_vector(g: GramMatrix, v: Sequence) -> bool:
 
 def qnorm_mod2Z(g: GramMatrix, v: Sequence) -> Fraction:
     """v^T G v reduced into the canonical representative [0, 2) of Q/2Z."""
+    from fractions import Fraction
     vv, c, n, gc = _over_common_denominator(g, v)
     if any(x % n for x in gc):
         raise NotInDual(f"{vv} is not in the dual lattice")
@@ -323,6 +341,7 @@ def pairing_modZ(g: GramMatrix, v: Sequence, w: Sequence) -> Fraction:
     if not any(x % n for x in gc):
         _, d, m, gd = _over_common_denominator(g, w)
         if not any(x % m for x in gd):
+            from fractions import Fraction
             return Fraction(sum(map(mul, c, gd)), n * m) % 1
     raise NotInDual("both vectors must lie in the dual lattice")
 

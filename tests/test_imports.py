@@ -100,6 +100,14 @@ def test_split_isotropy_loads_no_numpy(argv):
     assert "numpy" not in loaded_by_command(*argv)
 
 
+@pytest.mark.parametrize("argv", [("isotropy", "[-4 -1 0; -1 -4 0; 0 0 2]"),
+                                  ("simple", "[4 1 0; 1 4 0; 0 0 -2]")])
+def test_isotropy_path_loads_no_fractions(argv):
+    # signature and the witness scan are integer kernels; importing fractions
+    # (and decimal with it) would cost every isotropy verdict
+    assert not loaded_by_command(*argv) & {"fractions", "decimal"}
+
+
 NS_CONFIG = "M1 M2 M3\n-2 0 0\n0 -2 0\n0 0 -2\n1 1 1 / 2\n"
 EVERY_COMMAND = [
     ("enumerate", "60"), ("reduce", "[8 -2; -2 8]"), ("equivalent", "[4 2; 2 16]", "[4 -2; -2 16]"),

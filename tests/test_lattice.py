@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from k3latt.lattice import (
@@ -32,10 +32,12 @@ from k3latt.lattice import (
     twist,
 )
 from util_oracles import (
+    change_basis,
     fraction_is_dual_vector,
     fraction_order_in_quotient,
     fraction_pairing_modZ,
     fraction_qnorm_mod2Z,
+    fraction_signature,
     random_even_gram,
 )
 
@@ -118,6 +120,60 @@ class TestSignature:
             neg = sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
             assert signature(g) == (g.n - neg, neg)
             checked += 1
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A symmetric integer n x n matrix, n = 1..6, with at least n^2 // 2 zeros.
+
+    Zero diagonals and zero rows are common, so elimination meets both of
+    its repairs (a swap and a row+column addition) and degenerate input.
+    """
+    n = draw(st.integers(1, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(st.integers(-9, 9))
+    # zero out entries, a symmetric pair at a time, until half the matrix is 0
+    # (rounded down, so that a 1 x 1 can be nondegenerate)
+    for i, j in draw(st.permutations([(i, j) for i in range(n) for j in range(i + 1)])):
+        if sum(x == 0 for r in rows for x in r) >= n * n // 2:
+            break
+        rows[i][j] = rows[j][i] = 0
+    return GramMatrix.from_rows(rows)
+
+
+class TestSignatureOracle:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(g=sparse_symmetric(), seed=st.integers(0, 10 ** 9))
+    def test_matches_fraction_elimination(self, g, seed):
+        image = change_basis(g, random.Random(seed))
+        if determinant(g) == 0:
+            for h in (g, image):
+                with pytest.raises(DegenerateLattice):
+                    signature(h)
+                with pytest.raises(DegenerateLattice):
+                    fraction_signature(h)
+        else:
+            expected = fraction_signature(g)
+            assert signature(g) == expected
+            assert signature(image) == fraction_signature(image) == expected
+
+    @pytest.mark.parametrize("rows, sig", [
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], (2, 1)),  # zero pivot, a later diagonal swaps in
+        ([[0, 2, 0], [2, 0, 0], [0, 0, -3]], (1, 2)),  # all-zero diagonal, row+column added
+        ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]], (2, 2)),
+        ([[-2, 1], [1, -2]], (0, 2)),
+    ])
+    def test_repairs(self, rows, sig):
+        g = GramMatrix.from_rows(rows)
+        assert signature(g) == fraction_signature(g) == sig
+
+    @pytest.mark.parametrize("rows", [[[0]], [[0, 0], [0, 5]], [[0, 0, 1], [0, 0, 2], [1, 2, 0]],
+                                      [[2, 1, 3], [1, 2, 3], [3, 3, 6]]])
+    def test_degenerate_raises(self, rows):
+        with pytest.raises(DegenerateLattice):
+            signature(GramMatrix.from_rows(rows))
 
 
 def snf_checks(mat):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from k3latt.lattice import DegenerateLattice, GramMatrix, direct_sum, twist, U
+from k3latt.lattice import DegenerateLattice, GramMatrix, determinant, direct_sum, twist, U
 from k3latt.ternary import (
     BUDGET,
     MAX_BOUND,
@@ -17,7 +17,7 @@ from k3latt.ternary import (
     is_simple_shioda_inose,
     local_obstruction,
 )
-from util_oracles import change_basis, split_grid_obstruction
+from util_oracles import cellwise_find_isotropic, change_basis, split_grid_obstruction
 
 T0 = GramMatrix.from_rows([[4, 1, 0], [1, 4, 0], [0, 0, -2]])
 T1 = GramMatrix.from_rows([[10, 4, 0], [4, 10, 0], [0, 0, -2]])
@@ -49,6 +49,26 @@ def split_forms(draw, max_m: int):
     rows[axis][axis], rows[i][i], rows[j][j] = cz, a, c
     rows[i][j] = rows[j][i] = b
     return TernaryForm(GramMatrix.from_rows(rows)), p, e
+
+
+@st.composite
+def ternary_forms(draw):
+    """A nondegenerate form with entries in [-9, 9]; often g22 = 0, or one axis
+    orthogonal to the other two."""
+    rows = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(st.integers(-9, 9))
+    shape = draw(st.sampled_from(["any", "g22 = 0", "split x", "split y", "split z"]))
+    if shape == "g22 = 0":
+        rows[2][2] = 0
+    elif shape.startswith("split"):
+        k = "xyz".index(shape[-1])
+        for i in range(3):
+            if i != k:
+                rows[i][k] = rows[k][i] = 0
+    assume(determinant(rows) != 0)
+    return TernaryForm(GramMatrix.from_rows(rows))
 
 
 def diag(*entries):
@@ -93,6 +113,31 @@ class TestFindIsotropic:
         for bound in (MAX_BOUND + 1, 10 ** 5):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 find_isotropic(diag(1, -1, 5), bound)
+
+    @SLOW
+    @given(f=ternary_forms(), bound=st.integers(1, 30))
+    def test_scan_matches_cellwise_oracle(self, f, bound):
+        assert find_isotropic(f, bound) == cellwise_find_isotropic(f, bound)
+
+    @pytest.mark.parametrize("f, first", [
+        (NS0, None),  # no witness: the whole box at the cap
+        (TernaryForm(GramMatrix.from_rows([[-38, 4, 7], [4, 214050, 5], [7, 5, 16]])),
+         (337, 4, 129)),
+        (TernaryForm(GramMatrix.from_rows([[-21, 11, 13], [11, 188555, -13], [13, -13, 7]])),
+         (406, 5, -137)),
+    ])
+    def test_scan_at_the_cap_matches_cellwise_oracle(self, f, first):
+        assert find_isotropic(f, MAX_BOUND) == cellwise_find_isotropic(f, MAX_BOUND) == first
+
+    @pytest.mark.parametrize("rows, first", [
+        # at (0, 1) the roots of z^2 + 2z - 8 are 2 and -4: the smaller |z| first
+        ([[1, 0, 0], [0, -8, 1], [0, 1, 1]], (0, 1, 2)),
+        # at (0, 1) the roots of z^2 - 4 are 2 and -2: the positive one first
+        ([[1, 0, 0], [0, -4, 0], [0, 0, 1]], (0, 1, 2)),
+    ])
+    def test_root_order(self, rows, first):
+        f = TernaryForm(GramMatrix.from_rows(rows))
+        assert find_isotropic(f, 5) == cellwise_find_isotropic(f, 5) == first
 
     def test_witness_verified(self):
         rng = random.Random(31)

@@ -13,7 +13,10 @@ orbit sweep of ``local_obstruction`` replaced.  The dual-vector oracles
 multiply G by Fraction vectors, as ``is_dual_vector``, ``qnorm_mod2Z``,
 ``pairing_modZ`` and ``order_in_quotient`` did before they cleared
 denominators, and the factorizer is the plain trial division that
-``arith.factorize`` extends.
+``arith.factorize`` extends.  The witness scan solves for z cell by cell,
+as ``find_isotropic`` did before it screened each row by its discriminant
+in y, and the signature runs the rational LDL^T reduction that the
+fraction-free ``signature`` replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from k3latt.lattice import (
     qnorm_mod2Z,
     smith_normal_form,
 )
-from k3latt.ternary import TernaryForm, _split_axis
+from k3latt.ternary import MAX_BOUND, TernaryForm, _split_axis
 
 
 @lru_cache(maxsize=None)
@@ -385,3 +389,96 @@ def trial_division_factorize(m: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+# -- the cell-by-cell witness scan and the Fraction signature ---------------------
+
+def _signed_range(h: int):
+    yield 0
+    for k in range(1, h + 1):
+        yield k
+        yield -k
+
+
+def cellwise_find_isotropic(f: TernaryForm, bound: int) -> Optional[tuple[int, int, int]]:
+    """First nonzero v with |v_i| <= bound and v^T G v == 0, or None.
+
+    Scans (x, y) outward from 0 and solves the remaining quadratic in z
+    exactly, so the cost is quadratic in the bound, which MAX_BOUND caps.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound {bound} exceeds the cap {MAX_BOUND}")
+    g = f.gram.rows
+    a = g[2][2]
+    for x in _signed_range(bound):
+        for y in _signed_range(bound):
+            bq = 2 * (g[0][2] * x + g[1][2] * y)
+            cq = g[0][0] * x * x + 2 * g[0][1] * x * y + g[1][1] * y * y
+            roots: list[int] = []
+            if a == 0:
+                if bq == 0:
+                    if cq == 0:
+                        # value is 0 for every z; pick the smallest nonzero vector
+                        roots = [0] if (x, y) != (0, 0) else [1]
+                elif cq % bq == 0:
+                    roots = [-cq // bq]
+            else:
+                disc = bq * bq - 4 * a * cq
+                if disc >= 0:
+                    s = _isqrt_exact(disc)
+                    if s is not None:
+                        for num in (-bq + s, -bq - s):
+                            if num % (2 * a) == 0:
+                                roots.append(num // (2 * a))
+                roots = sorted(set(roots), key=lambda z: (abs(z), -z))
+            for z in roots:
+                if abs(z) <= bound and (x, y, z) != (0, 0, 0):
+                    if f.value((x, y, z)) != 0:
+                        raise AssertionError(f"({x}, {y}, {z}) is not a zero of the form")
+                    return (x, y, z)
+    return None
+
+
+def _isqrt_exact(n: int) -> Optional[int]:
+    s = isqrt(n)
+    return s if s * s == n else None
+
+
+def fraction_signature(g: GramMatrix) -> tuple[int, int]:
+    """(s+, s-) of a nondegenerate form, by exact symmetric elimination.
+
+    Sylvester's law applied to a rational LDL^T-style reduction; zero pivots
+    are repaired by a congruence (row/col swap, or adding a row+column when
+    the whole remaining diagonal vanishes).
+    """
+    if determinant(g) == 0:
+        raise DegenerateLattice("signature undefined for det == 0")
+    n = g.n
+    a = [[Fraction(x) for x in row] for row in g.rows]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                for r in range(k, n):
+                    a[r][k], a[r][j] = a[r][j], a[r][k]
+                a[k], a[j] = a[j], a[k]
+            else:
+                j = next(j for j in range(k + 1, n) if a[k][j] != 0)
+                for c in range(k, n):
+                    a[k][c] += a[j][c]
+                for r in range(k, n):
+                    a[r][k] += a[r][j]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return pos, neg
